@@ -50,6 +50,8 @@ from typing import Optional
 
 from .config import LithoConfig, ObservabilityConfig
 from .errors import ReproError
+from .fullchip.engine import knob_fields, knob_type
+from .fullchip.scheduler import SOLVER_MODES
 from .obs import Instrumentation
 from .geometry.layout import Layout
 from .geometry.raster import rasterize_layout
@@ -101,6 +103,37 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
         help="array backend spec, '<name>[:<precision>]' (e.g. numpy, "
         "numpy:float32, torch); default: REPRO_ARRAY_BACKEND or numpy",
     )
+
+
+#: The FullChipConfig fields ``repro submit`` exposes as flags.
+_SUBMIT_KNOBS = ("solver_mode", "tile_nm", "workers", "executor")
+
+
+def _add_knob_flags(
+    parser: argparse.ArgumentParser, names=None, default=None
+) -> None:
+    """Add the declared flags of :class:`FullChipConfig` (all, or ``names``).
+
+    Type, choices, help and ``--help`` section come from each field's
+    declaration.  Flags default to the field default, or to ``default``
+    when one is given.
+    """
+    groups = {}
+    for knob in knob_fields("flag"):
+        if names is not None and knob.name not in names:
+            continue
+        group = knob.metadata["group"]
+        if group is not None and group not in groups:
+            groups[group] = parser.add_argument_group(group)
+        kwargs = dict(knob.metadata["cli"], dest=knob.name, help=knob.metadata["help"])
+        kwargs["default"] = knob.default if default is None else default
+        if knob_type(knob) is bool:
+            kwargs["action"] = "store_true"
+        else:
+            kwargs["type"] = knob_type(knob)
+            if default is None and knob.default is not None:
+                kwargs["help"] += " (default: %(default)s)"
+        groups.get(group, parser).add_argument(knob.metadata["flag"], **kwargs)
 
 
 def _backend_from_args(args: argparse.Namespace) -> Optional[str]:
@@ -193,7 +226,7 @@ def _solver_for(mode: str, config: LithoConfig, sim: LithographySimulator,
         "levelset": LevelSetILT,
     }[mode]
     if checkpoint is not None:
-        if mode not in ("fast", "exact"):
+        if mode not in SOLVER_MODES:
             raise ReproError(
                 f"--checkpoint-dir is only supported for --mode fast/exact, "
                 f"not {mode!r}"
@@ -250,7 +283,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         result = solve_with_recipe(recipe, layout, config, simulator=sim)
     else:
         solver = _solver_for(args.mode, config, sim, checkpoint=checkpoint)
-        if resume_from is not None and args.mode not in ("fast", "exact"):
+        if resume_from is not None and args.mode not in SOLVER_MODES:
             raise ReproError(
                 f"--resume is only supported for --mode fast/exact, not {args.mode!r}"
             )
@@ -335,31 +368,9 @@ def cmd_fullchip(args: argparse.Namespace) -> int:
     layout = _load_layout(args.layout)
     config = _config_for(args.scale)
     obs = _setup_observability(args)
-    monitor_kwargs = {}
-    if args.resource_interval is not None:
-        monitor_kwargs["resource_interval_s"] = args.resource_interval
     fc_config = FullChipConfig(
-        tile_nm=args.tile_nm,
-        halo_nm=args.halo_nm,
-        workers=args.workers,
-        solver_mode=args.mode,
-        keep_going=args.keep_going,
-        max_retries=args.max_retries,
-        tile_timeout_s=args.tile_timeout,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
-        telemetry_dir=args.telemetry_dir,
-        watchdog_poll_s=args.watchdog_poll,
-        watchdog_stall_factor=args.watchdog_stall_factor,
-        watchdog_min_stall_s=args.watchdog_min_stall,
-        watchdog_cancel=args.watchdog_cancel,
-        backend=_backend_from_args(args),
-        executor=args.executor,
-        queue_lease_s=args.lease_s,
-        queue_max_requeues=args.max_requeues,
-        queue_backoff_s=args.queue_backoff,
-        **monitor_kwargs,
+        backend=args.backend,
+        **{f.name: getattr(args, f.name) for f in knob_fields("flag")},
     )
     engine = FullChipEngine(config, config=fc_config, obs=obs)
     plan = engine.plan_for(layout)
@@ -627,14 +638,12 @@ def cmd_submit(args: argparse.Namespace) -> int:
         timeout_s=args.request_timeout,
         retries=args.retries,
     )
-    payload = {
-        "layout": args.layout,
-        "mode": args.mode,
-        "scale": args.scale,
-        "tile_nm": args.tile_nm,
-        "workers": args.workers,
-        "executor": args.executor,
-    }
+    payload = {"layout": args.layout, "scale": args.scale}
+    payload.update(
+        (f.metadata["payload"], getattr(args, f.name))
+        for f in knob_fields("payload")
+        if hasattr(args, f.name)
+    )
     job = client.submit(payload, trace_id=args.trace_id)
     state = job["state"]
     cached = " (cache hit)" if job.get("cached") else ""
@@ -794,111 +803,12 @@ def build_parser() -> argparse.ArgumentParser:
         "layout",
         help="benchmark name (B1..B10), .glp path, or synth:<W>x<H>[:seed]",
     )
-    fullchip.add_argument(
-        "--tile-nm", type=float, default=1024.0, metavar="NM",
-        help="tile core edge length (default: 1024)",
-    )
-    fullchip.add_argument(
-        "--halo-nm", type=float, default=None, metavar="NM",
-        help="halo thickness; default derives the optical ambit, the "
-             "smallest halo keeping tile cores bit-equivalent to a "
-             "monolithic simulation",
-    )
-    fullchip.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes for tile solves (default: 1 = inline)",
-    )
-    fullchip.add_argument(
-        "--executor", choices=("pool", "queue", "serial"), default="pool",
-        help="tile placement: 'pool' (fork pool; inline when --workers 1), "
-             "'serial' (always inline), or 'queue' (durable file-backed "
-             "job queue with crash-recovering 'repro worker' processes; "
-             "needs --telemetry-dir)",
-    )
-    fullchip.add_argument("--mode", choices=("fast", "exact"), default="fast")
     fullchip.add_argument("--scale", choices=("reduced", "paper"), default="reduced")
     _add_backend_arg(fullchip)
-    fullchip.add_argument(
-        "--keep-going", action="store_true",
-        help="tolerate failed tiles: fall back to the no-OPC target for "
-             "their core and continue (exit code 3 when any tile failed)",
-    )
-    fullchip.add_argument(
-        "--tile-timeout", type=float, metavar="SECONDS",
-        help="wall-clock budget per tile solve attempt",
-    )
-    fullchip.add_argument(
-        "--max-retries", type=int, default=0, metavar="N",
-        help="extra solve attempts per tile after a failure (default: 0)",
-    )
-    fullchip.add_argument(
-        "--checkpoint-dir", metavar="DIR",
-        help="per-tile state directory: optimizer checkpoints plus done "
-             "markers (enables tile-by-tile resume)",
-    )
-    fullchip.add_argument(
-        "--checkpoint-every", type=int, default=5, metavar="N",
-        help="iterations between optimizer checkpoints (default: 5)",
-    )
-    fullchip.add_argument(
-        "--resume", action="store_true",
-        help="skip tiles with done markers in --checkpoint-dir and resume "
-             "partially solved tiles from their newest checkpoint",
-    )
+    _add_knob_flags(fullchip)
     fullchip.add_argument("--csv", help="write the per-tile CSV")
     fullchip.add_argument("--seam-csv", help="write the seam-consistency CSV")
     fullchip.add_argument("--out", help="directory for the NPZ mask bundle")
-    fullchip.add_argument(
-        "--telemetry-dir", metavar="DIR",
-        help="run directory for telemetry artifacts: per-tile worker "
-             "spool files, merged run.json/metrics.json, a Chrome "
-             "trace.json, plus the live status.json/heartbeats/resources "
-             "feeds ('repro watch DIR' while running, 'repro report DIR' "
-             "afterwards)",
-    )
-    queue_group = fullchip.add_argument_group(
-        "durable queue (--executor queue)"
-    )
-    queue_group.add_argument(
-        "--lease-s", type=float, default=30.0, metavar="SECONDS",
-        help="lease term per tile claim; a worker that stops heartbeating "
-             "loses its lease after this long and the tile is requeued "
-             "(default: 30)",
-    )
-    queue_group.add_argument(
-        "--max-requeues", type=int, default=2, metavar="N",
-        help="lease-expiry requeues tolerated per tile before it is "
-             "quarantined (default: 2)",
-    )
-    queue_group.add_argument(
-        "--queue-backoff", type=float, default=0.5, metavar="SECONDS",
-        help="base re-claim backoff after a lease expiry, doubling per "
-             "requeue (default: 0.5)",
-    )
-    live = fullchip.add_argument_group("live monitoring (needs --telemetry-dir)")
-    live.add_argument(
-        "--resource-interval", type=float, default=None, metavar="SECONDS",
-        help="per-process resource sampling interval (default: 0.5; "
-             "0 disables the samplers)",
-    )
-    live.add_argument(
-        "--watchdog-poll", type=float, default=2.0, metavar="SECONDS",
-        help="seconds between worker-liveness polls (default: 2)",
-    )
-    live.add_argument(
-        "--watchdog-stall-factor", type=float, default=8.0, metavar="X",
-        help="flag a worker stalled after X times the median iteration "
-             "time without heartbeat progress (default: 8)",
-    )
-    live.add_argument(
-        "--watchdog-min-stall", type=float, default=10.0, metavar="SECONDS",
-        help="floor on the stall threshold (default: 10)",
-    )
-    live.add_argument(
-        "--watchdog-cancel", action="store_true",
-        help="kill a stalled worker's pid as soon as it is flagged "
-             "(breaks the pool: remaining in-flight tiles fail too)",
-    )
     _add_obs_args(fullchip)
     fullchip.set_defaults(func=cmd_fullchip)
 
@@ -1052,13 +962,9 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument(
         "layout", help="benchmark name (B1..B10) or synth:<W>x<H>[:seed]"
     )
-    submit.add_argument("--mode", choices=("fast", "exact"), default="fast")
     submit.add_argument("--scale", choices=("reduced", "paper"), default="reduced")
-    submit.add_argument("--tile-nm", type=float, default=1024.0, metavar="NM")
-    submit.add_argument("--workers", type=int, default=1, metavar="N")
-    submit.add_argument(
-        "--executor", choices=("queue", "pool", "serial"), default="queue"
-    )
+    # Unset flags stay out of the payload: the service's defaults apply.
+    _add_knob_flags(submit, _SUBMIT_KNOBS, default=argparse.SUPPRESS)
     submit.add_argument("--tenant", default="default")
     submit.add_argument(
         "--wait", action="store_true",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -64,144 +64,169 @@ from .ambit import (
     ambit_model_for,
     model_cache_info,
 )
-from .scheduler import TileJob, TileResult, run_tile_jobs
+from .scheduler import SOLVER_MODES, TileJob, TileResult, run_tile_jobs
 from .stitch import SeamReport, build_seam_report, stitch_masks
 from .tiling import TilePlan, build_tile_plan
 
 logger = logging.getLogger(__name__)
 
 
+#: Tile placement strategies (:func:`~repro.fullchip.executor.executor_for`).
+EXECUTORS = ("pool", "queue", "serial")
+
+
+def knob(
+    default, help, *, flag=None, payload=None, placement=False, group=None, **cli
+):
+    """Declare a :class:`FullChipConfig` field with all its surfaces.
+
+    ``help`` is its one description; ``flag`` its ``repro fullchip``
+    option (``group`` the ``--help`` section, ``cli`` extra
+    ``add_argument`` keywords); ``payload`` its service payload name.
+    ``placement`` marks a field that cannot change the stitched mask,
+    which keeps it out of the result-cache key.
+    """
+    metadata = {
+        "help": help,
+        "flag": flag,
+        "payload": payload,
+        "placement": placement,
+        "group": group,
+        "cli": cli,
+    }
+    return field(default=default, metadata=metadata)
+
+
+def knob_type(knob_field: Field) -> type:
+    """Scalar type of a :class:`FullChipConfig` field (``Optional`` unwrapped)."""
+    name = str(knob_field.type).replace("Optional[", "").rstrip("]")
+    return {"bool": bool, "int": int, "float": float, "str": str}[name]
+
+
+_QUEUE = "durable queue (--executor queue)"
+_LIVE = "live monitoring (needs --telemetry-dir)"
+
+
 @dataclass(frozen=True)
 class FullChipConfig:
-    """Knobs of a tiled full-chip run.
+    """Knobs of a tiled full-chip run, each declared once with :func:`knob`.
 
-    Attributes:
-        tile_nm: core edge length of a tile.
-        halo_nm: halo thickness; None derives it from the optical ambit
-            (the smallest halo that keeps tile cores bit-equivalent to a
-            monolithic simulation).
-        workers: worker processes (``<= 1`` solves tiles inline).
-        solver_mode: ``"fast"`` (MOSAIC_fast) or ``"exact"``.
-        use_sraf: seed tiles with rule-based SRAFs.
-        keep_going: tolerate failed tiles (target fallback + visible
-            failed status) instead of aborting the run.
-        max_retries: extra solve attempts per tile.
-        tile_timeout_s: wall-clock budget per tile attempt.
-        checkpoint_dir: state directory for per-tile optimizer
-            checkpoints and done markers (enables resume).
-        checkpoint_every: iterations between optimizer checkpoints.
-        resume: reuse done markers / optimizer checkpoints found in
-            ``checkpoint_dir``.
-        energy_tol: ambit retained-energy tolerance.
-        probe_extent_nm: ambit probe-grid extent.
-        seam_band_nm: seam-EPE band half width (None = 4 pixels).
-        telemetry_dir: run directory receiving telemetry artifacts —
-            per-tile spool files (``spool/``), the merged ``run.json`` /
-            ``metrics.json``, the Chrome ``trace.json``, and the live
-            monitoring files (``status.json``, ``heartbeats/``,
-            ``resources/``); None (the default) disables worker
-            telemetry entirely.
-        resource_interval_s: sampling interval of the per-process
-            resource timelines (parent + every worker); ``0`` disables
-            resource sampling.  Only active with a ``telemetry_dir``.
-        heartbeat_min_interval_s: throttle between worker heartbeat
-            rewrites (``0`` = every optimizer iteration).
-        watchdog_poll_s: seconds between parent-side liveness polls.
-        watchdog_stall_factor: a worker is flagged stalled after this
-            many times the observed median iteration time without
-            heartbeat progress.
-        watchdog_min_stall_s: floor on the stall threshold.
-        watchdog_cancel: kill a flagged worker's pid immediately (see
-            :class:`~repro.obs.live.WatchdogConfig` for the pool-wide
-            consequences); off by default — flag-and-report only.
-        backend: array-backend spec for every tile's window simulator
-            (see :mod:`repro.xp`; e.g. ``"numpy:float32"``); ``None``
-            defers to the optics config / ``REPRO_ARRAY_BACKEND`` /
-            numpy-reference chain.  Unknown specs raise
-            :class:`~repro.errors.OpticsError` at construction.
-        shared_results: pass solved window masks back from pool workers
-            through POSIX shared memory instead of pickling them
-            (observable via the ``fullchip_result_bytes_shared`` /
-            ``fullchip_result_bytes_pickled`` counters).  Only affects
-            multi-worker pool runs; inline solves hand the array over
-            directly and the queue executor transports results through
-            its durable ``results/`` files.
-        executor: tile placement strategy — ``"pool"`` (the default:
-            fork pool, inline when ``workers <= 1``), ``"serial"``
-            (always inline), or ``"queue"`` (the durable file-backed
-            job queue under ``<telemetry_dir>/queue/`` with
-            crash-recovering ``repro worker`` processes; requires a
-            ``telemetry_dir``).
-        queue_lease_s: queue executor only — lease term granted to a
-            worker per claim; a lease not renewed (via heartbeat
-            pulses) within this window is swept and the tile requeued.
-        queue_max_requeues: queue executor only — lease-expiry requeues
-            tolerated per tile before it is quarantined (terminal, the
-            rasterized-target fallback covers its core).
-        queue_backoff_s: queue executor only — base of the exponential
-            re-claim backoff after a lease expiry (doubles per requeue).
-        queue_drain_timeout_s: queue executor only — overall wall-clock
-            budget for the queue to drain; None (the default) waits
-            indefinitely (abandonment detection still applies).
-        trace_id: request correlation id propagated into worker
-            telemetry, queue history, and ``run.json``; None for runs
-            with no originating request (CLI solves mint nothing).
+    The ``repro fullchip``/``repro submit`` flags, the service payload
+    and the result-cache key are derived from the field metadata, and
+    ``__post_init__`` is the single validator.
     """
 
-    tile_nm: float = 1024.0
-    halo_nm: Optional[float] = None
-    workers: int = 1
-    solver_mode: str = "fast"
-    use_sraf: bool = True
-    keep_going: bool = False
-    max_retries: int = 0
-    tile_timeout_s: Optional[float] = None
-    checkpoint_dir: Optional[str] = None
-    checkpoint_every: int = 5
-    resume: bool = False
-    energy_tol: float = DEFAULT_ENERGY_TOL
-    probe_extent_nm: float = DEFAULT_PROBE_EXTENT_NM
-    seam_band_nm: Optional[float] = None
-    telemetry_dir: Optional[str] = None
-    resource_interval_s: float = 0.5
-    heartbeat_min_interval_s: float = 0.0
-    watchdog_poll_s: float = 2.0
-    watchdog_stall_factor: float = 8.0
-    watchdog_min_stall_s: float = 10.0
-    watchdog_cancel: bool = False
-    backend: Optional[str] = None
-    shared_results: bool = True
-    executor: str = "pool"
-    queue_lease_s: float = 30.0
-    queue_max_requeues: int = 2
-    queue_backoff_s: float = 0.5
-    queue_drain_timeout_s: Optional[float] = None
-    trace_id: Optional[str] = None
+    tile_nm: float = knob(
+        1024.0, "tile core edge length in nm",
+        flag="--tile-nm", payload="tile_nm", metavar="NM")
+    halo_nm: Optional[float] = knob(
+        None, "halo in nm; default derives the optical ambit, the smallest "
+        "halo keeping tile cores bit-equivalent to a monolithic simulation",
+        flag="--halo-nm", payload="halo_nm", metavar="NM")
+    workers: int = knob(
+        1, "worker processes for tile solves; 1 solves inline",
+        flag="--workers", payload="workers", placement=True, metavar="N")
+    solver_mode: str = knob(
+        "fast", "tile solver: MOSAIC_fast or MOSAIC_exact",
+        flag="--mode", payload="mode", choices=tuple(SOLVER_MODES))
+    use_sraf: bool = knob(True, "seed tiles with rule-based SRAFs", payload="use_sraf")
+    keep_going: bool = knob(
+        False, "tolerate failed tiles: fall back to the no-OPC target for "
+        "their core and continue (exit code 3 when any tile failed)",
+        flag="--keep-going", payload="keep_going", placement=True)
+    max_retries: int = knob(
+        0, "extra solve attempts per tile after a failure",
+        flag="--max-retries", placement=True, metavar="N")
+    tile_timeout_s: Optional[float] = knob(
+        None, "wall-clock budget per tile solve attempt",
+        flag="--tile-timeout", placement=True, metavar="SECONDS")
+    checkpoint_dir: Optional[str] = knob(
+        None, "per-tile state directory: optimizer checkpoints plus done "
+        "markers (enables tile-by-tile resume)",
+        flag="--checkpoint-dir", placement=True, metavar="DIR")
+    checkpoint_every: int = knob(
+        5, "iterations between optimizer checkpoints",
+        flag="--checkpoint-every", placement=True, metavar="N")
+    resume: bool = knob(
+        False, "skip tiles with done markers in the checkpoint dir and resume "
+        "partially solved tiles from their newest checkpoint", flag="--resume")
+    energy_tol: float = knob(DEFAULT_ENERGY_TOL, "ambit retained-energy tolerance")
+    probe_extent_nm: float = knob(
+        DEFAULT_PROBE_EXTENT_NM, "ambit probe-grid extent in nm")
+    telemetry_dir: Optional[str] = knob(
+        None, "run directory for telemetry: per-tile worker spools, merged "
+        "run.json/metrics.json, a Chrome trace.json and the live "
+        "status.json/heartbeats/resources feeds ('repro watch DIR' while "
+        "running, 'repro report DIR' afterwards)",
+        flag="--telemetry-dir", placement=True, metavar="DIR")
+    resource_interval_s: float = knob(
+        0.5, "per-process resource sampling interval; 0 disables the samplers",
+        flag="--resource-interval", placement=True, group=_LIVE, metavar="SECONDS")
+    watchdog_poll_s: float = knob(
+        2.0, "seconds between worker-liveness polls",
+        flag="--watchdog-poll", placement=True, group=_LIVE, metavar="SECONDS")
+    watchdog_stall_factor: float = knob(
+        8.0, "flag a worker stalled after X times the median iteration time "
+        "without heartbeat progress",
+        flag="--watchdog-stall-factor", placement=True, group=_LIVE, metavar="X")
+    watchdog_min_stall_s: float = knob(
+        10.0, "floor on the stall threshold",
+        flag="--watchdog-min-stall", placement=True, group=_LIVE, metavar="SECONDS")
+    watchdog_cancel: bool = knob(
+        False, "kill a stalled worker's pid as soon as it is flagged (breaks "
+        "the pool: remaining in-flight tiles fail too)",
+        flag="--watchdog-cancel", placement=True, group=_LIVE)
+    backend: Optional[str] = knob(
+        None, "array-backend spec for every tile simulator (e.g. "
+        "'numpy:float32'); None defers to REPRO_ARRAY_BACKEND, then numpy",
+        payload="backend")
+    executor: str = knob(
+        "pool", "tile placement: 'pool' (fork pool; inline with one worker), "
+        "'serial' (always inline) or 'queue' (durable job queue with "
+        "crash-recovering 'repro worker' processes; needs a telemetry dir)",
+        flag="--executor", payload="executor", placement=True, choices=EXECUTORS)
+    queue_lease_s: float = knob(
+        30.0, "lease term per tile claim; a worker that stops heartbeating "
+        "loses its lease after this long and the tile is requeued",
+        flag="--lease-s", placement=True, group=_QUEUE, metavar="SECONDS")
+    queue_max_requeues: int = knob(
+        2, "lease-expiry requeues tolerated per tile before it is quarantined",
+        flag="--max-requeues", placement=True, group=_QUEUE, metavar="N")
+    queue_backoff_s: float = knob(
+        0.5, "base re-claim backoff after a lease expiry, doubling per requeue",
+        flag="--queue-backoff", placement=True, group=_QUEUE, metavar="SECONDS")
+    queue_drain_timeout_s: Optional[float] = knob(
+        None, "wall-clock budget for the queue to drain; None waits "
+        "indefinitely (abandonment detection still applies)", placement=True)
+    trace_id: Optional[str] = knob(
+        None, "request correlation id carried into worker telemetry, queue "
+        "history and run.json", placement=True)
 
     def __post_init__(self) -> None:
         if self.backend is not None:
             from ..xp import validate_backend_spec
 
             object.__setattr__(self, "backend", validate_backend_spec(self.backend))
+        if not self.tile_nm > 0:
+            raise FullChipError(f"tile_nm must be > 0, got {self.tile_nm}")
         if self.workers < 1:
             raise FullChipError(f"workers must be >= 1, got {self.workers}")
         if self.halo_nm is not None and self.halo_nm < 0:
             raise FullChipError(f"halo_nm must be >= 0, got {self.halo_nm}")
+        if self.solver_mode not in SOLVER_MODES:
+            raise FullChipError(
+                f"solver_mode must be one of {tuple(SOLVER_MODES)}, "
+                f"got {self.solver_mode!r}"
+            )
         if self.resume and self.checkpoint_dir is None:
             raise FullChipError("resume needs a checkpoint_dir to resume from")
         if self.resource_interval_s < 0:
             raise FullChipError(
                 f"resource_interval_s must be >= 0, got {self.resource_interval_s}"
             )
-        if self.heartbeat_min_interval_s < 0:
+        if self.executor not in EXECUTORS:
             raise FullChipError(
-                "heartbeat_min_interval_s must be >= 0, "
-                f"got {self.heartbeat_min_interval_s}"
-            )
-        if self.executor not in ("pool", "queue", "serial"):
-            raise FullChipError(
-                "executor must be one of ('pool', 'queue', 'serial'), "
-                f"got {self.executor!r}"
+                f"executor must be one of {EXECUTORS}, got {self.executor!r}"
             )
         if (
             self.queue_drain_timeout_s is not None
@@ -222,12 +247,7 @@ class FullChipConfig:
             self.queue_config()
         # WatchdogConfig validates its own knobs; build one eagerly so a
         # bad value fails at config time, not mid-run.
-        WatchdogConfig(
-            poll_s=self.watchdog_poll_s,
-            stall_factor=self.watchdog_stall_factor,
-            min_stall_s=self.watchdog_min_stall_s,
-            cancel=self.watchdog_cancel,
-        )
+        self.watchdog_config()
 
     def watchdog_config(self) -> WatchdogConfig:
         """The liveness-watchdog settings as a :class:`WatchdogConfig`."""
@@ -247,6 +267,14 @@ class FullChipConfig:
             max_requeues=self.queue_max_requeues,
             backoff_s=self.queue_backoff_s,
         )
+
+
+def knob_fields(role: str) -> Tuple[Field, ...]:
+    """:class:`FullChipConfig` fields with ``role`` metadata set.
+
+    ``role`` is ``"flag"``, ``"payload"`` or ``"placement"``.
+    """
+    return tuple(f for f in fields(FullChipConfig) if f.metadata[role])
 
 
 @dataclass
@@ -535,7 +563,6 @@ class FullChipEngine:
             telemetry_cfg = WorkerTelemetryConfig(
                 spool_dir=str(run_dir / SPOOL_DIRNAME),
                 heartbeat_dir=str(run_dir / HEARTBEAT_DIRNAME),
-                heartbeat_min_interval_s=cfg.heartbeat_min_interval_s,
                 resource_dir=resource_dir,
                 resource_interval_s=cfg.resource_interval_s,
                 trace_id=cfg.trace_id,
@@ -599,11 +626,7 @@ class FullChipEngine:
                     # Shared-memory transport is a pool-boundary trick;
                     # the queue executor moves results through its
                     # durable results/ files instead.
-                    share_result=(
-                        cfg.shared_results
-                        and cfg.workers > 1
-                        and cfg.executor == "pool"
-                    ),
+                    share_result=cfg.workers > 1 and cfg.executor == "pool",
                 )
                 for tile in plan
             ]
@@ -700,7 +723,6 @@ class FullChipEngine:
                     printed=printed_nominal,
                     layout=chip_layout,
                     grid=chip_grid,
-                    band_nm=cfg.seam_band_nm,
                 )
             self.obs.events.emit(
                 "fullchip",

@@ -98,7 +98,8 @@ _DEFAULT_KILL_PULSES = 3
 #: Name of the per-tile completed-result marker file.
 DONE_MARKER = "done.npz"
 
-_SOLVER_MODES: Dict[str, type] = {"fast": MosaicFast, "exact": MosaicExact}
+#: Tile solver registry; its keys are the valid ``solver_mode`` values.
+SOLVER_MODES: Dict[str, type] = {"fast": MosaicFast, "exact": MosaicExact}
 
 
 @dataclass(frozen=True)
@@ -152,9 +153,9 @@ class TileJob:
     share_result: bool = False
 
     def __post_init__(self) -> None:
-        if self.solver_mode not in _SOLVER_MODES:
+        if self.solver_mode not in SOLVER_MODES:
             raise FullChipError(
-                f"solver_mode must be one of {sorted(_SOLVER_MODES)}, "
+                f"solver_mode must be one of {sorted(SOLVER_MODES)}, "
                 f"got {self.solver_mode!r}"
             )
         if self.max_retries < 0:
@@ -456,7 +457,7 @@ def _solve_once(
         checkpoint = CheckpointConfig(directory=state_dir, every=job.checkpoint_every)
         if job.resume:
             resume_from = latest_checkpoint(state_dir)
-    solver_cls = _SOLVER_MODES[job.solver_mode]
+    solver_cls = SOLVER_MODES[job.solver_mode]
     solver: MosaicSolver = solver_cls(
         litho_config=sim.config,
         optimizer_config=job.optimizer,

@@ -199,7 +199,9 @@ class ForwardCache:
         self.obs = obs or Instrumentation.disabled()
         self._mask_dev = self.xp.asarray(self.mask, "float")
         self._spectrum: Optional[Any] = None
-        self._gathered: Dict[int, Any] = {}
+        # id(support) -> (support, samples); holding the support keeps
+        # its id from being reused by another support while cached.
+        self._gathered: Dict[int, Tuple[FrequencySupport, Any]] = {}
         self._mask_ffts = 0
         self._reuses = 0
 
@@ -224,17 +226,17 @@ class ForwardCache:
             raise GridError(
                 f"mask shape {self.mask.shape} != support grid {support.shape}"
             )
-        hit = self._gathered.get(id(support))
-        if hit is None:
+        entry = self._gathered.get(id(support))
+        if entry is None:
             spec = self.spectrum()
             rows = self.xp.asarray(support.rows, "index")
             cols = self.xp.asarray(support.cols, "index")
-            hit = spec[rows, cols]
-            self._gathered[id(support)] = hit
+            entry = (support, spec[rows, cols])
+            self._gathered[id(support)] = entry
         else:
             self._reuses += 1
             self.obs.metrics.counter("forward_fft_reuse").inc()
-        return hit
+        return entry[1]
 
     def info(self) -> ForwardCacheInfo:
         """Reuse statistics since construction."""

@@ -15,8 +15,8 @@ bench.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,12 +41,18 @@ class SOCSKernels:
             for unit open-frame intensity.
         spectra: kernel spectra on the support, shape ``(h, support.size)``.
         defocus_nm: focus condition these kernels were built at.
+        device_data: these kernels converted to each array backend,
+            keyed by backend spec (filled by
+            :meth:`~repro.xp.ArrayBackend.kernel_data`).
     """
 
     support: FrequencySupport
     weights: np.ndarray
     spectra: np.ndarray
     defocus_nm: float
+    device_data: Dict[str, Any] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.spectra.shape != (len(self.weights), self.support.size):

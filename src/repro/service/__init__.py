@@ -10,6 +10,8 @@ substrate, all stdlib-only.
 * :mod:`repro.service.jobs` — the server-agnostic core
   (:class:`IltService`): validation, admission, run dirs, runner
   threads, cancellation, the progress feed.
+* :mod:`repro.service.payload` — payload validation and each job's
+  :class:`~repro.fullchip.FullChipConfig`.
 * :mod:`repro.service.cache` — content-addressed result cache.
 * :mod:`repro.service.ratelimit` — per-tenant token buckets +
   concurrency caps.
@@ -26,8 +28,8 @@ from .jobs import (
     JobRecord,
     JobStore,
     ServiceConfig,
-    normalize_payload,
 )
+from .payload import normalize_payload
 from .ratelimit import RateLimitConfig, TenantLimiter, TokenBucket
 from .server import SERVICE_FILENAME, ServiceServer, serve
 

@@ -1,12 +1,14 @@
 """Content-addressed result cache for the job service.
 
 A job's *cache key* is the :func:`~repro.utils.hashing.canonical_hash`
-of everything that determines its stitched mask: the workload spec, the
-solve recipe (mode, tiling, SRAF seeding, backend), the solver/optics
-configuration fingerprint, and the code version.  Placement knobs that
-provably do not change the result — worker count, executor kind,
-``keep_going`` — are deliberately excluded, so a resubmit on a
-different fleet still dedups.
+of everything that determines its stitched mask: the workload spec and
+scale, every non-``placement`` field of the job's effective
+:class:`~repro.fullchip.FullChipConfig` (payload plus the service's
+overrides) with the backend resolved, the solver/optics configuration
+fingerprint, and the code version.  Placement fields (workers,
+executor, ``keep_going``, run dir, ...) are left out, so a resubmit on
+a different fleet still dedups; an unmarked field is keyed, so a
+forgotten mark costs a miss, never a wrong hit.
 
 Entries are one JSON file per key under ``<root>/cache/``, pointing at
 the job that produced the result.  Lookups validate that the source
@@ -17,42 +19,58 @@ degrades to a cache miss instead of a dangling DONE job.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 from ..utils.hashing import canonical_hash
 from ..utils.io import write_json_atomic
+from ..xp import resolve_spec
+from .payload import job_config
 
 __all__ = ["CACHE_DIRNAME", "cache_key_for", "ResultCache"]
 
 CACHE_DIRNAME = "cache"
-
-#: Payload fields that feed the cache key.  Everything else (workers,
-#: executor, keep_going, tenant) is placement/policy, not result.
-_KEY_FIELDS = ("layout", "mode", "scale", "tile_nm", "halo_nm", "use_sraf", "backend")
 
 
 def cache_key_for(
     payload: Dict[str, object],
     version: str,
     config_fingerprint: Optional[str] = None,
+    overrides: Optional[Dict[str, object]] = None,
 ) -> str:
     """Content address of a normalized job payload.
 
     Args:
         payload: the normalized submission (see
-            :func:`repro.service.jobs.normalize_payload`).
+            :func:`repro.service.payload.normalize_payload`).
         version: the serving code version — results are not assumed
             portable across releases.
         config_fingerprint: canonical hash of any solver/optics config
             overrides the service was constructed with (None when the
             stock per-scale configs apply; they are already pinned by
             ``scale`` + ``version``).
+        overrides: the service's ``FullChipConfig`` overrides.
+
+    Raises:
+        ServiceError: the effective config is invalid.
     """
-    key_payload = {field: payload.get(field) for field in _KEY_FIELDS}
-    key_payload["version"] = version
-    key_payload["config_fingerprint"] = config_fingerprint
-    return canonical_hash(key_payload)
+    config = job_config(payload, overrides)
+    recipe = {
+        f.name: getattr(config, f.name)
+        for f in fields(config)
+        if not f.metadata["placement"]
+    }
+    recipe["backend"] = resolve_spec(config.backend)
+    return canonical_hash(
+        {
+            "layout": payload["layout"],
+            "scale": payload["scale"],
+            "recipe": recipe,
+            "version": version,
+            "config_fingerprint": config_fingerprint,
+        }
+    )
 
 
 class ResultCache:

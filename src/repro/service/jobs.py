@@ -51,8 +51,9 @@ from ..obs.metrics import DEFAULT_LATENCY_BUCKETS
 from ..obs.trace import new_trace_id
 from ..utils.hashing import canonical_hash
 from ..utils.io import write_json_atomic
-from ..workloads.spec import load_workload, validate_workload_spec
+from ..workloads.spec import load_workload
 from .cache import ResultCache, cache_key_for
+from .payload import job_config, normalize_payload
 from .ratelimit import RateLimitConfig, TenantLimiter
 
 logger = logging.getLogger(__name__)
@@ -64,7 +65,6 @@ __all__ = [
     "JobRecord",
     "JobStore",
     "IltService",
-    "normalize_payload",
 ]
 
 JOBS_DIRNAME = "jobs"
@@ -75,85 +75,6 @@ EVENTS_FILENAME = "events.jsonl"
 
 JOB_STATES = ("PENDING", "RUNNING", "DONE", "FAILED", "CANCELLED")
 TERMINAL_JOB_STATES = ("DONE", "FAILED", "CANCELLED")
-
-#: The tiled engine's solver registry (scheduler._SOLVER_MODES) — the
-#: service validates eagerly so a bad mode is a 400, not a worker crash.
-_SERVICE_MODES = ("fast", "exact")
-_SCALES = ("reduced", "paper")
-_EXECUTORS = ("queue", "pool", "serial")
-
-_PAYLOAD_DEFAULTS: Dict[str, object] = {
-    "mode": "fast",
-    "scale": "reduced",
-    "tile_nm": 1024.0,
-    "halo_nm": None,
-    "workers": 1,
-    "executor": "queue",
-    "keep_going": False,
-    "use_sraf": True,
-    "backend": None,
-}
-
-
-def normalize_payload(payload: object) -> Dict[str, object]:
-    """Validate a submission body into the canonical job payload.
-
-    Unknown keys, malformed workload specs, file-path layouts, and
-    out-of-range recipe knobs all raise
-    :class:`~repro.errors.ServiceError` here — eagerly, at submission
-    time — so the HTTP layer can answer 400 instead of a worker
-    crashing mid-run.
-    """
-    if not isinstance(payload, dict):
-        raise ServiceError(f"job payload must be a JSON object, got {type(payload).__name__}")
-    unknown = sorted(set(payload) - set(_PAYLOAD_DEFAULTS) - {"layout"})
-    if unknown:
-        raise ServiceError(
-            f"unknown payload field(s) {unknown}; allowed: "
-            f"{sorted(['layout', *list(_PAYLOAD_DEFAULTS)])}"
-        )
-    if "layout" not in payload:
-        raise ServiceError("job payload needs a 'layout' workload spec")
-    normalized: Dict[str, object] = dict(_PAYLOAD_DEFAULTS)
-    normalized["layout"] = payload["layout"]
-    for key in _PAYLOAD_DEFAULTS:
-        if key in payload and payload[key] is not None:
-            normalized[key] = payload[key]
-    # The service refuses server-side file paths: a layout must be a
-    # bundled benchmark or a synth: spec both ends can reconstruct.
-    validate_workload_spec(str(normalized["layout"]), allow_paths=False)
-    normalized["layout"] = str(normalized["layout"])
-    if normalized["mode"] not in _SERVICE_MODES:
-        raise ServiceError(
-            f"mode must be one of {_SERVICE_MODES}, got {normalized['mode']!r}"
-        )
-    if normalized["scale"] not in _SCALES:
-        raise ServiceError(
-            f"scale must be one of {_SCALES}, got {normalized['scale']!r}"
-        )
-    if normalized["executor"] not in _EXECUTORS:
-        raise ServiceError(
-            f"executor must be one of {_EXECUTORS}, got {normalized['executor']!r}"
-        )
-    try:
-        normalized["tile_nm"] = float(normalized["tile_nm"])
-        if normalized["halo_nm"] is not None:
-            normalized["halo_nm"] = float(normalized["halo_nm"])
-        normalized["workers"] = int(normalized["workers"])
-    except (TypeError, ValueError) as exc:
-        raise ServiceError(f"bad numeric recipe field: {exc}") from exc
-    if normalized["tile_nm"] <= 0:
-        raise ServiceError(f"tile_nm must be > 0, got {normalized['tile_nm']}")
-    if normalized["halo_nm"] is not None and normalized["halo_nm"] < 0:
-        raise ServiceError(f"halo_nm must be >= 0, got {normalized['halo_nm']}")
-    if normalized["workers"] < 1:
-        raise ServiceError(f"workers must be >= 1, got {normalized['workers']}")
-    normalized["keep_going"] = bool(normalized["keep_going"])
-    normalized["use_sraf"] = bool(normalized["use_sraf"])
-    if normalized["backend"] is not None:
-        normalized["backend"] = str(normalized["backend"])
-    return normalized
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -171,8 +92,8 @@ class ServiceConfig:
         optimizer: optional optimizer-config override (same rules).
         fullchip_overrides: extra :class:`FullChipConfig` keyword
             overrides applied to every job (e.g. ``probe_extent_nm``,
-            ``queue_lease_s``); result-affecting overrides feed the
-            cache fingerprint like the config overrides do.
+            ``queue_lease_s``); every non-``placement`` field of the
+            resulting config is part of the cache key.
         poll_s: event-feed and cancel-probe polling interval.
         drain_timeout_s: safety net handed to the queue executor so an
             abandoned queue run fails instead of hanging the job thread.
@@ -314,12 +235,19 @@ class IltService:
         self.started_ts = time.time()
         for job in self.store.recover():
             self._jobs[job.id] = job
+        # Every job's config: the service's drain budget, then the
+        # configured overrides (which enter each job's cache key through
+        # its effective config).
+        self._overrides = {
+            "queue_drain_timeout_s": self.config.drain_timeout_s,
+            **self.config.fullchip_overrides,
+        }
+        job_config({}, self._overrides)  # a bad override fails here, not per job
         fingerprint_src = {
             "litho": asdict(self.config.litho) if self.config.litho else None,
             "optimizer": (
                 asdict(self.config.optimizer) if self.config.optimizer else None
             ),
-            "fullchip_overrides": dict(self.config.fullchip_overrides) or None,
         }
         self._config_fingerprint = (
             canonical_hash(fingerprint_src)
@@ -374,7 +302,9 @@ class IltService:
                 f"service at max_active={self.config.max_active} live job(s)",
                 retry_after_s=self.config.ratelimit.retry_after_s,
             )
-        key = cache_key_for(normalized, __version__, self._config_fingerprint)
+        key = cache_key_for(
+            normalized, __version__, self._config_fingerprint, self._overrides
+        )
         self._submitted.inc()
         hit = self.cache.get_valid(key, self.artifact_path)
         if hit is not None:
@@ -535,7 +465,7 @@ class IltService:
         self._settle(job, "DONE")
 
     def _solve(self, job, run_dir, obs, cancel_event):
-        from ..fullchip import FullChipConfig, FullChipEngine
+        from ..fullchip import FullChipEngine
 
         payload = job.payload
         litho = self.config.litho or (
@@ -543,21 +473,7 @@ class IltService:
             if payload["scale"] == "paper"
             else LithoConfig.reduced()
         )
-        fc_kwargs: Dict[str, object] = dict(
-            tile_nm=float(payload["tile_nm"]),
-            halo_nm=payload["halo_nm"],
-            workers=int(payload["workers"]),
-            solver_mode=str(payload["mode"]),
-            use_sraf=bool(payload["use_sraf"]),
-            keep_going=bool(payload["keep_going"]),
-            telemetry_dir=str(run_dir),
-            backend=payload["backend"],
-            executor=str(payload["executor"]),
-            queue_drain_timeout_s=self.config.drain_timeout_s,
-        )
-        fc_kwargs.update(self.config.fullchip_overrides)
-        fc_kwargs["trace_id"] = job.trace_id
-        fc_config = FullChipConfig(**fc_kwargs)
+        fc_config = job_config(payload, self._overrides, run_dir, job.trace_id)
         engine = FullChipEngine(
             litho, optimizer=self.config.optimizer, config=fc_config, obs=obs
         )

@@ -253,11 +253,16 @@ def comb_structure(
     return Polygon(pts)
 
 
+#: Smallest synthetic-canvas cell (the primitives are sized for it); a
+#: canvas must fit at least one.
+MIN_CELL_NM = 1024.0
+
+
 def synthetic_canvas(
     width_nm: float,
     height_nm: float,
     seed: int = 0,
-    cell_nm: float = 1024.0,
+    cell_nm: float = MIN_CELL_NM,
     margin_nm: float = 112.0,
     name: "str | None" = None,
 ):
@@ -285,8 +290,8 @@ def synthetic_canvas(
 
     import numpy as np
 
-    if cell_nm < 1024.0:
-        raise GeometryError(f"cells must be >= 1024 nm, got {cell_nm}")
+    if cell_nm < MIN_CELL_NM:
+        raise GeometryError(f"cells must be >= {MIN_CELL_NM:g} nm, got {cell_nm}")
     if width_nm < cell_nm or height_nm < cell_nm:
         raise GeometryError(
             f"canvas {width_nm}x{height_nm} nm must fit one {cell_nm} nm cell"

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Tuple
 
 from ..errors import ReproError
+from .generator import MIN_CELL_NM, synthetic_canvas
 from .iccad2013 import BENCHMARK_NAMES, load_benchmark
 
 __all__ = [
@@ -36,8 +37,9 @@ def parse_synth_spec(spec: str) -> Tuple[float, float, int]:
     """Parse ``synth:<W>x<H>[:seed]`` into ``(width_nm, height_nm, seed)``.
 
     Raises :class:`~repro.errors.ReproError` on any malformed spec —
-    wrong field count, non-numeric dimensions, non-positive sizes, or a
-    non-integer seed.
+    wrong field count, non-numeric dimensions, a canvas smaller than one
+    generator cell (:data:`~repro.workloads.generator.MIN_CELL_NM`), or
+    a non-integer seed.
     """
     if not spec.startswith(SYNTH_PREFIX):
         raise ReproError(f"not a synth spec: {spec!r}")
@@ -52,9 +54,10 @@ def parse_synth_spec(spec: str) -> Tuple[float, float, int]:
         seed = int(parts[2]) if len(parts) == 3 else 0
     except ValueError as exc:
         raise ReproError(f"bad synth spec {spec!r}: {exc}") from exc
-    if not (width > 0 and height > 0):
+    if not (width >= MIN_CELL_NM and height >= MIN_CELL_NM):
         raise ReproError(
-            f"bad synth dimensions {parts[1]!r}; width and height must be > 0"
+            f"bad synth dimensions {parts[1]!r}; width and height must be "
+            f">= {MIN_CELL_NM:g} nm (one canvas cell)"
         )
     return width, height, seed
 
@@ -95,8 +98,6 @@ def load_workload(spec: str, allow_paths: bool = True):
     if kind == "benchmark":
         return load_benchmark(spec)
     if kind == "synth":
-        from .generator import synthetic_canvas
-
         width, height, seed = parse_synth_spec(spec)
         return synthetic_canvas(width, height, seed=seed)
     from ..io.glp import read_glp

@@ -15,8 +15,8 @@ variable > ``"numpy"``.
 
 :func:`get_backend` returns a **cached singleton per spec and process**.
 That is what lets the fullchip scheduler batch every tile solved in one
-worker through a single backend instance (one device-kernel cache, one
-set of converted spectra) instead of one per tile — see
+worker through a single backend instance (one set of converted spectra
+per kernel set and spec) instead of one per tile — see
 ``docs/backends.md``.  Specs are validated *without* importing the heavy
 library (:func:`validate_backend_spec`), so configs can reject typos
 eagerly while torch/cupy stay optional imports.
@@ -148,8 +148,7 @@ def get_backend(spec: Optional[str] = None) -> ArrayBackend:
     ``spec=None`` resolves through ``REPRO_ARRAY_BACKEND`` and falls back
     to the numpy reference.  Instances are cached per (name, precision)
     so every consumer in a process — each tile solve in a fullchip
-    worker, most importantly — shares one backend and its device-side
-    kernel cache.
+    worker, most importantly — shares one backend instance.
 
     Raises:
         OpticsError: invalid spec, or the named library is not installed.

@@ -12,8 +12,8 @@ bundles three things:
   ``float32``/``complex64``) applied by :meth:`ArrayBackend.asarray`;
 * a **device-side kernel cache** (:meth:`ArrayBackend.kernel_data`):
   SOCS spectra, weights, and support index arrays converted once per
-  kernel set and reused across every forward/adjoint call — the
-  "FFT-plan/workspace reuse" half of the seam.
+  kernel set, stored on the set, and reused across every forward/adjoint
+  call — the "FFT-plan/workspace reuse" half of the seam.
 
 Equivalence contract (enforced by ``tests/test_backend_seam.py`` and the
 backend-parametrized equivalence suites):
@@ -30,7 +30,7 @@ backend-parametrized equivalence suites):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
@@ -82,7 +82,6 @@ class ArrayBackend:
                 f"unknown backend precision {precision!r}; expected one of {PRECISIONS}"
             )
         self.precision = precision
-        self._kernel_data: Dict[int, DeviceKernelData] = {}
 
     # -- identity / policy -------------------------------------------------
 
@@ -184,14 +183,12 @@ class ArrayBackend:
     def kernel_data(self, kernels: Any) -> DeviceKernelData:
         """Backend-side arrays for a SOCS kernel set, converted once.
 
-        Keyed by object identity like
-        :meth:`~repro.optics.hopkins.ForwardCache.gathered`: kernel sets
-        are built once per (grid, focus) and live as long as their
-        simulator, so identity is a stable key and the converted
-        spectra/weights/index arrays are reused by every forward and
-        adjoint call on this backend instance.
+        The converted spectra/weights/index arrays are kept on the kernel
+        set itself (``kernels.device_data``, one entry per backend spec),
+        so every forward and adjoint call reuses them, they are freed
+        with the kernel set, and no other set can ever be handed them.
         """
-        hit = self._kernel_data.get(id(kernels))
+        hit = kernels.device_data.get(self.spec)
         if hit is None:
             hit = DeviceKernelData(
                 weights=self.asarray(kernels.weights, "float"),
@@ -199,5 +196,5 @@ class ArrayBackend:
                 rows=self.asarray(kernels.support.rows, "index"),
                 cols=self.asarray(kernels.support.cols, "index"),
             )
-            self._kernel_data[id(kernels)] = hit
+            kernels.device_data[self.spec] = hit
         return hit

@@ -20,6 +20,7 @@ Four layers, mirroring the seam's contract (``src/repro/xp/base.py``):
    is ~40x: observed float32 drift ~2.6e-7 relative vs the 1e-5 gate).
 """
 
+import gc
 import json
 from pathlib import Path
 
@@ -31,6 +32,8 @@ from repro.errors import OpticsError
 from repro.litho.simulator import LithographySimulator
 from repro.mask.transform import mask_from_params, mask_param_derivative, params_from_mask
 from repro.opc.mosaic import MosaicFast
+from repro.optics.kernels import SOCSKernels
+from repro.optics.tcc import FrequencySupport
 from repro.utils.validation import sigmoid
 from repro.workloads.random_layout import random_layout
 from repro.xp import (
@@ -262,6 +265,38 @@ class TestAdapterConformance:
         assert not backend.to_numpy(z).any()
         e = backend.empty((2, 2), "float")
         assert backend.to_numpy(e).shape == (2, 2)
+
+    def test_kernel_data_survives_id_reuse(self, backend):
+        # A kernel set built where a freed one lived (same id) must get
+        # its own spectra, never the freed set's conversion.
+        support = FrequencySupport(
+            rows=np.arange(3),
+            cols=np.zeros(3, dtype=int),
+            fx=np.zeros(3),
+            fy=np.zeros(3),
+            shape=(4, 4),
+            freq_step=1.0,
+        )
+
+        def build(value):
+            spectra = np.full((1, 3), value, dtype=np.complex128)
+            return SOCSKernels(support, np.ones(1), spectra, 0.0)
+
+        freed = build(-1.0)
+        backend.kernel_data(freed)
+        freed_id = id(freed)
+        del freed
+        gc.collect()
+        alive = []
+        for i in range(10000):
+            fresh = build(float(i))
+            if id(fresh) == freed_id:
+                break
+            alive.append(fresh)
+        else:
+            pytest.skip("the allocator never reused the freed kernel set's id")
+        spectra = backend.to_numpy(backend.kernel_data(fresh).spectra)
+        assert np.array_equal(spectra, fresh.spectra.astype(backend.complex_dtype))
 
     def test_kernel_data_cached_by_identity(self, backend, tiny_sim):
         kernels = tiny_sim.kernels_at(0.0)

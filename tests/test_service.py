@@ -171,6 +171,33 @@ class TestCacheKey:
         assert cache_key_for(base, "1.0") != cache_key_for(base, "2.0")
         assert cache_key_for(base, "1.0") != cache_key_for(base, "1.0", "cfg-abc")
 
+    def test_backend_enters_the_key_resolved(self, monkeypatch):
+        monkeypatch.delenv("REPRO_ARRAY_BACKEND", raising=False)
+        keys = {
+            cache_key_for(normalize_payload({**SERIAL_PAYLOAD, "backend": spec}), "1.0")
+            for spec in (None, "numpy", "numpy:float64")
+        }
+        assert len(keys) == 1
+        default = normalize_payload(dict(SERIAL_PAYLOAD))
+        monkeypatch.setenv("REPRO_ARRAY_BACKEND", "numpy:float32")
+        assert cache_key_for(default, "1.0") not in keys
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"queue_lease_s": 5.0}, {"telemetry_dir": "elsewhere"}, {"trace_id": "t1"}],
+    )
+    def test_placement_overrides_do_not_change_the_key(self, override):
+        base = normalize_payload(dict(SERIAL_PAYLOAD))
+        assert cache_key_for(base, "1.0") == cache_key_for(
+            base, "1.0", overrides=override
+        )
+
+    def test_result_override_changes_the_key(self):
+        base = normalize_payload(dict(SERIAL_PAYLOAD))
+        assert cache_key_for(base, "1.0") != cache_key_for(
+            base, "1.0", overrides={"energy_tol": 1e-3}
+        )
+
 
 # -- payload validation ------------------------------------------------------
 
@@ -199,6 +226,11 @@ class TestNormalizePayload:
             {"layout": "B1", "tile_nm": "wide"},
             {"layout": "B1", "workers": 0},
             {"layout": "B1", "halo_nm": -1.0},
+            {"layout": "B1", "backend": "bogus"},
+            {"layout": "B1", "use_sraf": "false"},
+            {"layout": "B1", "keep_going": "no"},
+            {"layout": "B1", "workers": 2.9},
+            {"layout": "synth:512x512:1"},  # smaller than one canvas cell
         ],
     )
     def test_rejects_eagerly(self, payload):
@@ -286,13 +318,16 @@ class TestServiceEndToEnd:
         assert "event" in kinds  # the run's events.jsonl was replayed
         assert "status" in kinds  # and at least one status snapshot
 
-    def test_failed_job_reports_error_and_is_not_cached(self, service):
-        # An unresolvable backend blows up inside the runner thread: the
-        # fault must surface as a FAILED record, not a hung job.
-        job = service.submit({**SERIAL_PAYLOAD, "backend": "not-a-backend"})
+    def test_failed_job_reports_error_and_is_not_cached(self, service, monkeypatch):
+        # A tile solve that raises inside the runner thread must surface
+        # as a FAILED record, not a hung job.
+        from repro.fullchip import FAIL_TILES_ENV
+
+        monkeypatch.setenv(FAIL_TILES_ENV, "0,0")
+        job = service.submit(dict(SERIAL_PAYLOAD))
         job = service.wait(job.id, timeout_s=60)
         assert job.state == "FAILED"
-        assert job.error and "backend" in job.error
+        assert job.error and "injected failure" in job.error
         assert len(service.cache) == 0
         assert service.metrics_snapshot()["service_jobs_failed"]["value"] == 1
 

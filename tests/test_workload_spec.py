@@ -16,10 +16,10 @@ class TestParseSynthSpec:
         assert parse_synth_spec("synth:2048x1024") == (2048.0, 1024.0, 0)
 
     def test_with_seed(self):
-        assert parse_synth_spec("synth:512x512:7") == (512.0, 512.0, 7)
+        assert parse_synth_spec("synth:2048x1024:7") == (2048.0, 1024.0, 7)
 
     def test_uppercase_x(self):
-        assert parse_synth_spec("synth:100X200") == (100.0, 200.0, 0)
+        assert parse_synth_spec("synth:1024X2048") == (1024.0, 2048.0, 0)
 
     @pytest.mark.parametrize(
         "spec",
@@ -31,6 +31,8 @@ class TestParseSynthSpec:
             "synth:2048x2048:1:2",  # extra field
             "synth:0x2048",       # zero width
             "synth:-10x10",       # negative width
+            "synth:512x512:1",    # smaller than one canvas cell
+            "synth:2048x1000",    # height below one canvas cell
         ],
     )
     def test_malformed_rejected(self, spec):
@@ -45,7 +47,7 @@ class TestParseSynthSpec:
 class TestValidateWorkloadSpec:
     def test_kinds(self, tmp_path):
         assert validate_workload_spec("B1") == "benchmark"
-        assert validate_workload_spec("synth:256x256") == "synth"
+        assert validate_workload_spec("synth:1024x1024") == "synth"
         glp = tmp_path / "layout.glp"
         glp.write_text("")
         assert validate_workload_spec(str(glp)) == "path"
