@@ -10,6 +10,11 @@ root (uploaded as a CI artifact and gated against the checked-in
 baseline by ``python -m repro bench-check``, which reads regression
 direction off the key names: ``*_s`` lower-is-better, ``speedup*``
 higher-is-better, ``*floor*`` config echoes).
+
+The record also carries ``window_forward_adjoint_s``: the absolute time
+of one batched forward+adjoint pass on a full-chip tile window (ambit
+window kernels, full-grid support), the path every ``repro fullchip``
+tile solve runs.
 """
 
 import json
@@ -20,11 +25,18 @@ import numpy as np
 import pytest
 
 from repro.config import OptimizerConfig
+from repro.fullchip import FullChipEngine
 from repro.geometry.raster import rasterize_layout
 from repro.litho.simulator import LithographySimulator
 from repro.opc.mosaic import MosaicFast
 from repro.opc.optimizer import GradientDescentOptimizer
+from repro.optics.hopkins import (
+    ForwardCache,
+    accumulate_backprojection,
+    batched_field_stacks,
+)
 from repro.workloads.iccad2013 import load_benchmark
+from repro.workloads.spec import load_workload
 
 from conftest import bench_scale
 
@@ -32,6 +44,8 @@ BENCH_JSON = Path(__file__).parent.parent / "BENCH_forward_batching.json"
 
 ITERATIONS = 10
 ROUNDS = 3
+WINDOW_ROUNDS = 5
+WINDOW_CHIP = "synth:1024x1024:1"
 SPEEDUP_FLOOR = 1.5
 AERIAL_TOL = 1e-10
 
@@ -57,6 +71,30 @@ def _time_loop(sim, layout):
         result = run()
         best = min(best, time.perf_counter() - start)
     return best, result
+
+
+def _time_window(litho):
+    """Best-of time of one batched forward + adjoint on a tile window.
+
+    The window is a real full-chip tile's (core plus two ambit halos,
+    372 px at reduced scale) and the kernels are the ambit model's window
+    kernels at every focus, as a ``repro fullchip`` tile solve uses them.
+    """
+    engine = FullChipEngine(litho)
+    shape = next(iter(engine.plan_for(load_workload(WINDOW_CHIP)))).window_shape
+    kernel_sets = [
+        engine.model.window_kernels(shape, f) for f in engine.model.defocus_values_nm
+    ]
+    rng = np.random.default_rng(0)
+    mask = rng.random(shape)
+    df_di = [rng.standard_normal(shape) for _ in kernel_sets]
+    best = np.inf
+    for _ in range(WINDOW_ROUNDS):
+        start = time.perf_counter()
+        stacks = batched_field_stacks(ForwardCache(mask), kernel_sets)
+        accumulate_backprojection(list(zip(df_di, stacks, kernel_sets)))
+        best = min(best, time.perf_counter() - start)
+    return shape, best
 
 
 def test_forward_batching_speedup(benchmark, bench_config, bench_sim, emit):
@@ -85,6 +123,8 @@ def test_forward_batching_speedup(benchmark, bench_config, bench_sim, emit):
         legacy_result.history.objectives[-1], rel=1e-9
     )
 
+    window_shape, window_s = _time_window(bench_config)
+
     benchmark.pedantic(_make_runner(bench_sim, layout), rounds=1, iterations=1)
 
     record = {
@@ -98,6 +138,8 @@ def test_forward_batching_speedup(benchmark, bench_config, bench_sim, emit):
         "batched_s": round(batched_s, 4),
         "speedup": round(speedup, 3),
         "max_abs_diff_aerial": max_abs_diff,
+        "window_shape": list(window_shape),
+        "window_forward_adjoint_s": round(window_s, 4),
         "speedup_floor": SPEEDUP_FLOOR,
         "aerial_tol": AERIAL_TOL,
     }
@@ -110,6 +152,8 @@ def test_forward_batching_speedup(benchmark, bench_config, bench_sim, emit):
                 f"  batched  ({ITERATIONS} iterations): {batched_s:8.2f} s",
                 f"  speedup: {speedup:.2f}x (floor {SPEEDUP_FLOOR}x)",
                 f"  max abs aerial diff: {max_abs_diff:.3e} (tol {AERIAL_TOL:.0e})",
+                f"  window {window_shape[0]}x{window_shape[1]} forward+adjoint: "
+                f"{window_s * 1e3:8.1f} ms",
             ]
         ),
     )

@@ -218,6 +218,16 @@ class FullChipConfig:
                 f"solver_mode must be one of {tuple(SOLVER_MODES)}, "
                 f"got {self.solver_mode!r}"
             )
+        if self.max_retries < 0:
+            raise FullChipError(f"max_retries must be >= 0, got {self.max_retries}")
+        if self.tile_timeout_s is not None and not self.tile_timeout_s > 0:
+            raise FullChipError(
+                f"tile_timeout_s must be positive or None, got {self.tile_timeout_s}"
+            )
+        if self.checkpoint_every < 1:
+            raise FullChipError(
+                f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
+            )
         if self.resume and self.checkpoint_dir is None:
             raise FullChipError("resume needs a checkpoint_dir to resume from")
         if self.resource_interval_s < 0:

@@ -528,6 +528,7 @@ class QueueWorkerExecutor(TileExecutor):
         settled: set = set()
         results: Dict[Tuple[int, int], TileResult] = {}
         started = time.monotonic()
+        drained = False
         try:
             if self.spawn_workers:
                 fleet = [self._spawn_worker() for _ in range(self.workers)]
@@ -582,8 +583,12 @@ class QueueWorkerExecutor(TileExecutor):
                         f"{len(queue.tiles()) - len(settled)} tile(s) unsettled"
                     )
                 time.sleep(self.poll_s)
+            drained = True
         finally:
-            self._shutdown_fleet(fleet)
+            # A drained queue lets the workers exit on their own; after a
+            # cancel or a failure they are stopped at once, since in a
+            # grace period they would go on claiming the remaining tiles.
+            self._shutdown_fleet(fleet, grace_s=10.0 if drained else 0.0)
         return results
 
     def _mark_leases_running(

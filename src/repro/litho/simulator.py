@@ -284,10 +284,7 @@ class LithographySimulator:
         with self.obs.tracer.span("backproject.batched"):
             if batched:
                 groups = [
-                    (
-                        weight_fields(combined[f], fields_by_focus[f], self.xp),
-                        self.kernels_at(f),
-                    )
+                    (combined[f], fields_by_focus[f], self.kernels_at(f))
                     for f in combined
                 ]
                 return accumulate_backprojection(groups, xp=self.xp)

@@ -20,8 +20,12 @@ inverse transform over all (focus x kernel) spectra, and
 :func:`accumulate_backprojection` folds the whole multi-corner adjoint
 into one batched forward transform plus a *single* inverse FFT (the
 per-kernel weighted sums are accumulated on the frequency support, where
-the adjoint is diagonal, before transforming back).  Because the support
-is band-limited to a small set of frequency rows, the batched transforms
+the adjoint is diagonal, before transforming back).  Gathers and scatters
+index the flattened grid with each kernel set's flat support index
+(:class:`~repro.xp.DeviceKernelData`): a full-grid support (the ambit
+window kernels of :mod:`repro.fullchip`) is ``slice(None)`` and takes
+views, a band-limited one takes index arrays.  When every support is
+band-limited to a small set of frequency rows, the batched transforms
 additionally prune the row pass to the touched rows — bitwise-identical
 output for the forward direction, since transforming exact zeros yields
 exact zeros.
@@ -45,11 +49,19 @@ import numpy as np
 
 from ..errors import GridError
 from ..obs import Instrumentation
-from ..xp import ArrayBackend, resolve_backend
+from ..xp import ArrayBackend, DeviceKernelData, resolve_backend
 from .kernels import SOCSKernels, common_grid_shape
 from .tcc import FrequencySupport
 
 XpArg = Union[None, str, ArrayBackend]
+
+#: Size from which numpy computes ``a * b`` in place into a temporary
+#: operand (its "temporary elision", 256 KiB).  The adjoint's reference
+#: expression ``gathered * conj(spectra)`` was therefore evaluated as
+#: ``conj(spectra) * gathered`` for products of this size and up.  With
+#: FMA the complex product is not commutative to the last bit, so
+#: :func:`accumulate_backprojection` keeps that operand order.
+_ELIDE_BYTES = 256 * 1024
 
 
 def field_stack(mask: np.ndarray, kernels: SOCSKernels, xp: XpArg = None) -> Any:
@@ -62,12 +74,11 @@ def field_stack(mask: np.ndarray, kernels: SOCSKernels, xp: XpArg = None) -> Any
     if tuple(mask.shape) != kernels.shape:
         raise GridError(f"mask shape {tuple(mask.shape)} != kernel grid {kernels.shape}")
     kd = xp.kernel_data(kernels)
-    m_hat = xp.fft2(xp.asarray(mask, "float"))
-    m_sup = m_hat[kd.rows, kd.cols]
+    m_sup = xp.fft2(xp.asarray(mask, "float")).reshape(-1)[kd.flat]
     fields = xp.empty((kernels.num_kernels,) + kernels.shape, "complex")
     for k in range(kernels.num_kernels):
         full = xp.zeros(kernels.shape, "complex")
-        full[kd.rows, kd.cols] = m_sup * kd.spectra[k]
+        full.reshape(-1)[kd.flat] = m_sup * kd.spectra[k]
         fields[k] = xp.ifft2(full)
     return fields
 
@@ -146,9 +157,9 @@ def backproject_fields(
     accum = xp.zeros(kernels.shape, "complex")
     for k in range(kernels.num_kernels):
         w_hat = xp.fft2(weighted_fields[k])
-        w_sup = w_hat[kd.rows, kd.cols] * xp.conj(kd.spectra[k])
+        w_sup = w_hat.reshape(-1)[kd.flat] * kd.conj_spectra[k]
         full = xp.zeros(kernels.shape, "complex")
-        full[kd.rows, kd.cols] = w_sup
+        full.reshape(-1)[kd.flat] = w_sup
         accum += kd.weights[k] * xp.ifft2(full)
     return xp.to_numpy(2.0 * xp.real(accum))
 
@@ -174,7 +185,8 @@ class ForwardCache:
     condition and at every process corner for every objective term, yet
     all of those image the same mask — so the mask spectrum is computed
     on first demand and the support-gathered samples are memoized per
-    frequency support.  Reuse is observable through the
+    frequency support.  A full-grid support gathers a view of the
+    spectrum, not a copy.  Reuse is observable through the
     ``forward_mask_ffts`` / ``forward_fft_reuse`` counters and
     :meth:`info`.
 
@@ -220,18 +232,17 @@ class ForwardCache:
             self.obs.metrics.counter("forward_fft_reuse").inc()
         return self._spectrum
 
-    def gathered(self, support: FrequencySupport) -> Any:
-        """Support-sampled mask spectrum, memoized per support object."""
+    def gathered(self, kernels: SOCSKernels) -> Any:
+        """Mask spectrum on a kernel set's support, memoized per support object."""
+        support = kernels.support
         if self.mask.shape != support.shape:
             raise GridError(
                 f"mask shape {self.mask.shape} != support grid {support.shape}"
             )
         entry = self._gathered.get(id(support))
         if entry is None:
-            spec = self.spectrum()
-            rows = self.xp.asarray(support.rows, "index")
-            cols = self.xp.asarray(support.cols, "index")
-            entry = (support, spec[rows, cols])
+            flat = self.xp.kernel_data(kernels).flat
+            entry = (support, self.spectrum().reshape(-1)[flat])
             self._gathered[id(support)] = entry
         else:
             self._reuses += 1
@@ -244,16 +255,21 @@ class ForwardCache:
 
 
 def _support_rows(
-    supports: Sequence[FrequencySupport], num_rows: int
+    kernel_sets: Sequence[SOCSKernels],
+    datas: Sequence[DeviceKernelData],
+    num_rows: int,
 ) -> Optional[np.ndarray]:
     """Sorted unique grid rows touched by any support, or None.
 
     The band-limited support typically covers a small fraction of the
     frequency rows, which lets the batched transforms prune the 1-D pass
     over the untouched (all-zero / never-read) rows.  Returns None when
-    the support spans most rows and pruning would not pay.
+    the support spans most rows and pruning would not pay — at once,
+    without looking at the rows, when any support is the full grid.
     """
-    rows = np.unique(np.concatenate([s.rows for s in supports]))
+    if any(kd.full_grid for kd in datas):
+        return None
+    rows = np.unique(np.concatenate([ks.support.rows for ks in kernel_sets]))
     if len(rows) * 2 >= num_rows:
         return None
     return rows
@@ -286,17 +302,20 @@ def batched_field_stacks(
     if cache.shape != shape:
         raise GridError(f"mask shape {cache.shape} != kernel grid {shape}")
     counts = [ks.num_kernels for ks in kernel_sets]
-    stacked = xp.zeros((sum(counts),) + shape, "complex")
+    datas = [xp.kernel_data(ks) for ks in kernel_sets]
+    # Full-grid supports write every element of the stack; band-limited
+    # ones rely on the zeros everywhere off their support.
+    alloc = xp.empty if all(kd.full_grid for kd in datas) else xp.zeros
+    stacked = alloc((sum(counts),) + shape, "complex")
+    flat_stack = stacked.reshape(sum(counts), -1)
     pos = 0
-    for ks in kernel_sets:
-        kd = xp.kernel_data(ks)
-        m_sup = cache.gathered(ks.support)
-        # Two-step view indexing (slice first, then the advanced index)
+    for ks, kd in zip(kernel_sets, datas):
+        # Two-step view indexing (slice first, then the support index)
         # keeps the write portable across numpy/cupy/torch setitem rules.
-        block = stacked[pos : pos + ks.num_kernels]
-        block[:, kd.rows, kd.cols] = m_sup[None, :] * kd.spectra
+        block = flat_stack[pos : pos + ks.num_kernels]
+        block[:, kd.flat] = cache.gathered(ks)[None, :] * kd.spectra
         pos += ks.num_kernels
-    rows_used = _support_rows([ks.support for ks in kernel_sets], shape[0])
+    rows_used = _support_rows(kernel_sets, datas, shape[0])
     if rows_used is None:
         fields = xp.ifft2(stacked)
     else:
@@ -317,23 +336,24 @@ def batched_field_stacks(
 
 
 def accumulate_backprojection(
-    groups: Sequence[Tuple[Any, SOCSKernels]],
+    groups: Sequence[Tuple[Any, Any, SOCSKernels]],
     xp: XpArg = None,
 ) -> np.ndarray:
-    """Sum of back-projections over several (weighted_fields, kernels) groups.
+    """Sum of back-projections over several (df_di, fields, kernels) groups.
 
-    Numerically equivalent to
-    ``sum(backproject_fields(wf, ks) for wf, ks in groups)`` but computed
-    with one batched forward FFT over all (group x kernel) fields and a
-    *single* inverse FFT: because the adjoint is diagonal on the
-    frequency support, the per-kernel weighted sums are accumulated
-    there before transforming back to the mask plane.
+    Numerically equivalent to the sum over groups of
+    ``backproject_fields(weight_fields(df_di, fields), kernels)`` but
+    computed with one batched forward FFT over all (group x kernel)
+    weighted fields and a *single* inverse FFT: because the adjoint is
+    diagonal on the frequency support, the per-kernel weighted sums are
+    accumulated there before transforming back to the mask plane.
 
     Args:
-        groups: ``(weighted_fields, kernels)`` pairs, one per focus
-            condition, with ``weighted_fields`` shaped
-            ``(h, rows, cols)`` holding ``G'(I) * E_k`` (any per-corner
-            dose factors already applied; numpy or backend-native).
+        groups: ``(df_di, fields, kernels)`` triples, one per focus
+            condition: the intensity-space gradient ``G'(I)`` (host
+            array, any per-corner dose factors already applied), the
+            backend-native ``(h, rows, cols)`` field stack ``E_k`` and
+            the kernel set that produced it.
         xp: array backend (default: the resolved process backend).
 
     Returns:
@@ -341,49 +361,48 @@ def accumulate_backprojection(
     """
     xp = resolve_backend(xp)
     groups = list(groups)
-    shape = common_grid_shape([ks for _, ks in groups])
-    total = 0
-    for wf, ks in groups:
-        if tuple(wf.shape) != (ks.num_kernels,) + shape:
+    kernel_sets = [ks for _, _, ks in groups]
+    shape = common_grid_shape(kernel_sets)
+    for _, fields, ks in groups:
+        if tuple(fields.shape) != (ks.num_kernels,) + shape:
             raise GridError(
-                f"weighted_fields shape {tuple(wf.shape)} inconsistent with "
+                f"fields shape {tuple(fields.shape)} inconsistent with "
                 f"{ks.num_kernels} kernels on grid {shape}"
             )
-        total += ks.num_kernels
+    total = sum(ks.num_kernels for ks in kernel_sets)
     stacked = xp.empty((total,) + shape, "complex")
     pos = 0
-    for wf, ks in groups:
-        stacked[pos : pos + ks.num_kernels] = xp.asarray(wf, "complex")
+    for df_di, fields, ks in groups:
+        # weight_fields, multiplied straight into the stack.
+        block = stacked[pos : pos + ks.num_kernels]
+        xp.multiply(xp.asarray(df_di, "float")[None, :, :], fields, out=block)
         pos += ks.num_kernels
-    rows_used = _support_rows([ks.support for _, ks in groups], shape[0])
-    accum = xp.zeros(shape, "complex")
+    datas = [xp.kernel_data(ks) for ks in kernel_sets]
+    rows_used = _support_rows(kernel_sets, datas, shape[0])
     if rows_used is None:
-        w_hat = xp.fft2(stacked)
-        pos = 0
-        for _, ks in groups:
-            h = ks.num_kernels
-            kd = xp.kernel_data(ks)
-            gathered = w_hat[pos : pos + h][:, kd.rows, kd.cols]
-            accum[kd.rows, kd.cols] += xp.einsum(
-                "k,ks->s", kd.weights, gathered * xp.conj(kd.spectra)
-            )
-            pos += h
+        w_hat = xp.fft2(stacked).reshape(total, -1)
+        gather_at = [kd.flat for kd in datas]
     else:
         # Row-pruned separable forward: only the support rows of the
         # spectrum are ever gathered, so the second 1-D pass runs on
-        # those rows alone.
+        # those rows alone, and the gathers index the pruned grid.
         ru = xp.asarray(rows_used, "index")
         w_hat = xp.fft(xp.fft(stacked, axis=-2)[:, ru, :], axis=-1)
-        pos = 0
-        for _, ks in groups:
-            h = ks.num_kernels
-            kd = xp.kernel_data(ks)
-            row_idx = xp.asarray(
-                np.searchsorted(rows_used, ks.support.rows), "index"
-            )
-            gathered = w_hat[pos : pos + h][:, row_idx, kd.cols]
-            accum[kd.rows, kd.cols] += xp.einsum(
-                "k,ks->s", kd.weights, gathered * xp.conj(kd.spectra)
-            )
-            pos += h
+        w_hat = w_hat.reshape(total, -1)
+        gather_at = []
+        for ks in kernel_sets:
+            row_idx = np.searchsorted(rows_used, ks.support.rows)
+            gather_at.append(xp.asarray(row_idx * shape[1] + ks.support.cols, "index"))
+    accum = xp.zeros(shape, "complex")
+    accum_flat = accum.reshape(-1)
+    pos = 0
+    for ks, kd, at in zip(kernel_sets, datas, gather_at):
+        h = ks.num_kernels
+        gathered = w_hat[pos : pos + h][:, at]
+        if ks.spectra.size * xp.complex_dtype.itemsize >= _ELIDE_BYTES:
+            xp.multiply(kd.conj_spectra, gathered, out=gathered)
+        else:
+            xp.multiply(gathered, kd.conj_spectra, out=gathered)
+        accum_flat[kd.flat] += xp.einsum("k,ks->s", kd.weights, gathered)
+        pos += h
     return xp.to_numpy(2.0 * xp.real(xp.ifft2(accum)))

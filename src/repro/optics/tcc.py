@@ -14,7 +14,7 @@ eigen-decomposition (→ SOCS kernels) is obtained directly from the SVD of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -57,6 +57,19 @@ class FrequencySupport:
     def gather(self, full: np.ndarray) -> np.ndarray:
         """Extract the support samples from a full FFT grid."""
         return full[self.rows, self.cols]
+
+    def flat_index(self) -> Union[slice, np.ndarray]:
+        """Positions of the samples in the row-major flattened grid.
+
+        ``slice(None)`` when the support is the whole grid in row-major
+        order, so indexing a flattened grid with it takes a view instead
+        of a gather; otherwise the index array ``rows * n_cols + cols``.
+        """
+        flat = self.rows * self.shape[1] + self.cols
+        size = self.shape[0] * self.shape[1]
+        if len(flat) == size and np.array_equal(flat, np.arange(size)):
+            return slice(None)
+        return flat
 
     def zero_index(self) -> int:
         """Index of the DC (f = 0) sample within the support arrays."""

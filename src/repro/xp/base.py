@@ -11,9 +11,10 @@ bundles three things:
 * a **dtype policy** (``float64``/``complex128`` or
   ``float32``/``complex64``) applied by :meth:`ArrayBackend.asarray`;
 * a **device-side kernel cache** (:meth:`ArrayBackend.kernel_data`):
-  SOCS spectra, weights, and support index arrays converted once per
-  kernel set, stored on the set, and reused across every forward/adjoint
-  call — the "FFT-plan/workspace reuse" half of the seam.
+  SOCS spectra, their conjugates, weights, and the flat support index
+  converted once per kernel set, stored on the set, and reused across
+  every forward/adjoint call — the "FFT-plan/workspace reuse" half of
+  the seam.
 
 Equivalence contract (enforced by ``tests/test_backend_seam.py`` and the
 backend-parametrized equivalence suites):
@@ -29,8 +30,9 @@ backend-parametrized equivalence suites):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
@@ -54,13 +56,32 @@ class DeviceKernelData:
     Attributes:
         weights: real eigenvalue weights ``(h,)`` at the policy dtype.
         spectra: complex kernel spectra ``(h, support_size)``.
-        rows / cols: support index arrays in the backend's index type.
+        flat: the support's positions in the row-major flattened grid
+            (:meth:`~repro.optics.tcc.FrequencySupport.flat_index`):
+            ``slice(None)`` for a full-grid support, so gathers and
+            scatters through it are views, else an index array in the
+            backend's index type.
+        conj: the backend's ``conj``, which builds :attr:`conj_spectra`.
     """
 
     weights: Any
     spectra: Any
-    rows: Any
-    cols: Any
+    flat: Any
+    conj: Callable[[Any], Any] = field(repr=False, compare=False)
+
+    @cached_property
+    def conj_spectra(self) -> Any:
+        """``conj(spectra)``, the adjoint's multiplier.
+
+        Built on the first adjoint and kept from then on; a set that
+        only ever images (the full-chip evaluation) never holds it.
+        """
+        return self.conj(self.spectra)
+
+    @property
+    def full_grid(self) -> bool:
+        """True when the support is every grid sample, in row-major order."""
+        return isinstance(self.flat, slice)
 
 
 class ArrayBackend:
@@ -157,6 +178,10 @@ class ArrayBackend:
 
     # -- elementwise -------------------------------------------------------
 
+    def multiply(self, a: Any, b: Any, out: Any) -> Any:
+        """``a * b`` written into the existing array ``out``; returns ``out``."""
+        raise NotImplementedError
+
     def conj(self, x: Any) -> Any:
         raise NotImplementedError
 
@@ -190,11 +215,12 @@ class ArrayBackend:
         """
         hit = kernels.device_data.get(self.spec)
         if hit is None:
+            flat = kernels.support.flat_index()
             hit = DeviceKernelData(
                 weights=self.asarray(kernels.weights, "float"),
                 spectra=self.asarray(kernels.spectra, "complex"),
-                rows=self.asarray(kernels.support.rows, "index"),
-                cols=self.asarray(kernels.support.cols, "index"),
+                flat=flat if isinstance(flat, slice) else self.asarray(flat, "index"),
+                conj=self.conj,
             )
             kernels.device_data[self.spec] = hit
         return hit

@@ -59,6 +59,9 @@ class CupyBackend(ArrayBackend):
 
     # -- elementwise -------------------------------------------------------
 
+    def multiply(self, a: Any, b: Any, out: Any) -> Any:
+        return cp.multiply(a, b, out=out)
+
     def conj(self, x: Any) -> Any:
         return cp.conj(x)
 

@@ -71,6 +71,9 @@ class NumpyBackend(ArrayBackend):
 
     # -- elementwise -------------------------------------------------------
 
+    def multiply(self, a: Any, b: Any, out: Any) -> Any:
+        return np.multiply(a, b, out=out)
+
     def conj(self, x: Any) -> Any:
         return np.conj(x)
 

@@ -90,6 +90,9 @@ class TorchBackend(ArrayBackend):
 
     # -- elementwise -------------------------------------------------------
 
+    def multiply(self, a: Any, b: Any, out: Any) -> Any:
+        return torch.mul(a, b, out=out)
+
     def conj(self, x: Any) -> Any:
         return torch.conj(x).resolve_conj()
 

@@ -33,8 +33,9 @@ from repro.optics.hopkins import (
     field_stack,
     weight_fields,
 )
-from repro.optics.kernels import common_grid_shape
+from repro.optics.kernels import SOCSKernels, common_grid_shape
 from repro.process.corners import ProcessCorner, nominal_corner
+from repro.xp import get_backend
 
 AERIAL_TOL = 1e-10  # ISSUE acceptance tolerance on aerial images
 GRAD_RTOL = 1e-9  # gradients only reassociate floating-point sums
@@ -97,10 +98,7 @@ class TestHopkinsBatching:
         for focus in (0.0, 25.0):
             kernels = tiny_sim.kernels_at(focus)
             df_di = rng.standard_normal(tiny_sim.grid.shape)
-            groups.append(
-                (weight_fields(df_di, field_stack(mask, kernels, xp=backend), backend),
-                 kernels)
-            )
+            groups.append((df_di, field_stack(mask, kernels, xp=backend), kernels))
             reference += backproject_fields(
                 weight_fields(
                     df_di, field_stack(mask, kernels, xp="numpy"), "numpy"
@@ -128,6 +126,163 @@ class TestHopkinsBatching:
     def test_mixed_grids_rejected(self, tiny_sim, sim):
         with pytest.raises(OpticsError):
             common_grid_shape([tiny_sim.kernels_at(0.0), sim.kernels_at(0.0)])
+
+
+def reference_field_stacks(mask, kernel_sets, xp):
+    """The forward as written before flat support indices: a zeroed stack
+    per set, filled through the 2-D ``[rows, cols]`` index."""
+    spectrum = xp.fft2(xp.asarray(mask, "float"))
+    stacks = []
+    for ks in kernel_sets:
+        rows = xp.asarray(ks.support.rows, "index")
+        cols = xp.asarray(ks.support.cols, "index")
+        stack = xp.zeros((ks.num_kernels,) + ks.shape, "complex")
+        spectra = xp.asarray(ks.spectra, "complex")
+        stack[:, rows, cols] = spectrum[rows, cols][None, :] * spectra
+        stacks.append(xp.ifft2(stack))
+    return stacks
+
+
+def reference_backprojection(groups, xp):
+    """The adjoint as written before flat support indices: per group, the
+    weighted fields, the 2-D ``[rows, cols]`` gather and scatter, and
+    ``conj`` of the spectra on every call.  A band-limited support ran
+    the separable forward FFT rows-first (the row-pruned order)."""
+    shape = groups[0][2].shape
+    all_rows = np.concatenate([ks.support.rows for _, _, ks in groups])
+    pruned = len(np.unique(all_rows)) * 2 < shape[0]
+    accum = xp.zeros(shape, "complex")
+    for df_di, fields, ks in groups:
+        rows = xp.asarray(ks.support.rows, "index")
+        cols = xp.asarray(ks.support.cols, "index")
+        weighted = xp.asarray(df_di, "float")[None, :, :] * fields
+        if pruned:
+            w_hat = xp.fft(xp.fft(weighted, axis=-2), axis=-1)
+        else:
+            w_hat = xp.fft2(weighted)
+        gathered = w_hat[:, rows, cols]
+        spectra = xp.asarray(ks.spectra, "complex")
+        accum[rows, cols] += xp.einsum(
+            "k,ks->s", xp.asarray(ks.weights, "float"), gathered * xp.conj(spectra)
+        )
+    return xp.to_numpy(2.0 * xp.real(xp.ifft2(accum)))
+
+
+@pytest.fixture(scope="module")
+def window_sets():
+    """Ambit window kernels (reduced litho, 120 px window): full-grid support."""
+    from repro.fullchip import ambit_model_for
+
+    model = ambit_model_for(LithoConfig.reduced())
+    return [model.window_kernels((120, 120), f) for f in model.defocus_values_nm]
+
+
+def _clip_sets(sim):
+    """Band-limited clip kernels at two focus values."""
+    return [sim.kernels_at(f) for f in (0.0, 25.0)]
+
+
+def _wide_clip_sets(sim):
+    """Band-limited sets with 32 kernels, whose adjoint products exceed
+    numpy's temporary-elision size (see ``hopkins._ELIDE_BYTES``)."""
+    return [
+        SOCSKernels(
+            support=ks.support,
+            weights=np.tile(ks.weights, 4),
+            spectra=np.tile(ks.spectra, (4, 1)),
+            defocus_nm=ks.defocus_nm,
+        )
+        for ks in _clip_sets(sim)
+    ]
+
+
+def _fresh(ks):
+    """A copy of a kernel set with an empty device cache."""
+    return SOCSKernels(
+        support=ks.support, weights=ks.weights, spectra=ks.spectra, defocus_nm=ks.defocus_nm
+    )
+
+
+def _pin_case(sets, xp, seed=3):
+    rng = np.random.default_rng(seed)
+    shape = sets[0].shape
+    mask = random_mask(rng, shape)
+    dfs = [rng.standard_normal(shape) for _ in sets]
+    return mask, dfs
+
+
+class TestSupportKinds:
+    """Bitwise pins of the batched forward/adjoint on both support kinds
+    (full-grid window kernels take views, band-limited clip kernels take
+    index arrays), and the structure the view path rests on."""
+
+    @pytest.fixture(params=["window", "clip", "wide_clip"])
+    def kernel_sets(self, request, window_sets, sim):
+        if request.param == "window":
+            return window_sets
+        return _clip_sets(sim) if request.param == "clip" else _wide_clip_sets(sim)
+
+    def test_field_stacks_bitwise(self, kernel_sets):
+        xp = get_backend("numpy")
+        mask, _ = _pin_case(kernel_sets, xp)
+        stacks = batched_field_stacks(ForwardCache(mask, xp=xp), kernel_sets)
+        for got, want in zip(stacks, reference_field_stacks(mask, kernel_sets, xp)):
+            assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+    def test_backprojection_bitwise(self, kernel_sets):
+        xp = get_backend("numpy")
+        mask, dfs = _pin_case(kernel_sets, xp)
+        stacks = reference_field_stacks(mask, kernel_sets, xp)
+        groups = list(zip(dfs, stacks, kernel_sets))
+        got = accumulate_backprojection(groups, xp=xp)
+        assert np.array_equal(got, reference_backprojection(groups, xp))
+
+    def test_float32_within_equivalence_rtol(self, kernel_sets):
+        xp, ref = get_backend("numpy:float32"), get_backend("numpy")
+        mask, dfs = _pin_case(kernel_sets, xp)
+        want_fields = reference_field_stacks(mask, kernel_sets, ref)
+        stacks = batched_field_stacks(ForwardCache(mask, xp=xp), kernel_sets)
+        for got, want in zip(stacks, want_fields):
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= xp.equivalence_rtol * scale
+        got = accumulate_backprojection(list(zip(dfs, stacks, kernel_sets)), xp=xp)
+        want = reference_backprojection(list(zip(dfs, want_fields, kernel_sets)), ref)
+        assert np.max(np.abs(got - want)) <= xp.equivalence_rtol * np.max(np.abs(want))
+
+    def test_window_support_is_a_view(self, window_sets):
+        xp = get_backend("numpy")
+        ks = window_sets[0]
+        assert xp.kernel_data(ks).flat == slice(None)
+        assert xp.kernel_data(ks).full_grid
+        cache = ForwardCache(random_mask(np.random.default_rng(0), ks.shape), xp=xp)
+        assert np.shares_memory(cache.gathered(ks), cache.spectrum())
+
+    def test_clip_support_is_an_index(self, sim):
+        xp = get_backend("numpy")
+        ks = sim.kernels_at(0.0)
+        kd = xp.kernel_data(ks)
+        assert isinstance(kd.flat, np.ndarray) and not kd.full_grid
+        assert np.array_equal(kd.flat, ks.support.rows * ks.shape[1] + ks.support.cols)
+        cache = ForwardCache(random_mask(np.random.default_rng(0), ks.shape), xp=xp)
+        assert not np.shares_memory(cache.gathered(ks), cache.spectrum())
+
+    def test_conj_spectra_built_once(self, window_sets, sim, monkeypatch):
+        xp = get_backend("numpy")
+        calls = []
+        real_conj = xp.conj
+        monkeypatch.setattr(xp, "conj", lambda x: calls.append(1) or real_conj(x))
+        for sets in (window_sets, _clip_sets(sim)):
+            sets = [_fresh(ks) for ks in sets]
+            mask, dfs = _pin_case(sets, xp)
+            calls.clear()
+            stacks = batched_field_stacks(ForwardCache(mask, xp=xp), sets)
+            assert not calls  # the forward never needs it
+            groups = list(zip(dfs, stacks, sets))
+            accumulate_backprojection(groups, xp=xp)
+            first = [xp.kernel_data(ks).conj_spectra for ks in sets]
+            accumulate_backprojection(groups, xp=xp)
+            assert len(calls) == len(sets)  # once per set, on the first adjoint
+            assert all(xp.kernel_data(ks).conj_spectra is c for ks, c in zip(sets, first))
 
 
 class TestSimulatorEquivalence:

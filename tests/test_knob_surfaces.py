@@ -11,6 +11,7 @@ import pytest
 
 import repro.fullchip
 from repro.cli import build_parser, main
+from repro.errors import FullChipError
 from repro.fullchip import FullChipConfig
 from repro.service import normalize_payload
 
@@ -137,6 +138,26 @@ def test_fullchip_flags_build_the_same_config(monkeypatch, extra, nondefault):
     with pytest.raises(_Built) as built:
         main(["fullchip", "B1", *extra])
     assert built.value.args[0] == FullChipConfig(**nondefault)
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [{"max_retries": -1}, {"tile_timeout_s": 0.0}, {"tile_timeout_s": -5.0},
+     {"checkpoint_every": 0}],
+    ids=["max_retries", "tile_timeout_zero", "tile_timeout_negative", "checkpoint_every"],
+)
+def test_config_rejects_bad_run_knobs(knobs):
+    with pytest.raises(FullChipError, match=next(iter(knobs))):
+        FullChipConfig(**knobs)
+
+
+def test_bad_knob_fails_before_any_kernel_build(monkeypatch, capsys):
+    def no_engine(*args, **kwargs):
+        raise AssertionError("FullChipEngine built despite an invalid knob")
+
+    monkeypatch.setattr(repro.fullchip, "FullChipEngine", no_engine)
+    assert main(["fullchip", "B1", "--max-retries", "-1"]) == 1
+    assert "max_retries must be >= 0, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
