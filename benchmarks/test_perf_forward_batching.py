@@ -18,6 +18,7 @@ tile solve runs.
 """
 
 import json
+import os
 import time
 from pathlib import Path
 
@@ -129,6 +130,7 @@ def test_forward_batching_speedup(benchmark, bench_config, bench_sim, emit):
 
     record = {
         "scale": bench_scale(),
+        "cores": len(os.sched_getaffinity(0)),
         "grid_shape": list(bench_sim.grid.shape),
         "num_kernels": bench_sim.config.optics.num_kernels,
         "corners": len(corners),

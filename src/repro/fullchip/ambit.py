@@ -47,6 +47,7 @@ from ..obs import Instrumentation
 from ..optics.kernels import SOCSKernels, build_socs_kernels
 from ..optics.tcc import FrequencySupport
 from ..process.corners import enumerate_corners
+from ..xp import get_backend
 
 logger = logging.getLogger(__name__)
 
@@ -147,6 +148,12 @@ class AmbitModel:
         ambit_px: Chebyshev truncation radius in pixels, maximized over
             all focus conditions of the process window.
         focus_stencils: per-defocus truncated kernels.
+
+    The model lives for the whole process in the shared model cache, so
+    it keeps only the window kernel sets that are reused: the tile
+    windows every tile of a run images on.  One-off shapes (the padded
+    whole chip of a monolithic evaluation) are built with
+    ``retain_kernels=False`` and live only as long as their simulator.
     """
 
     litho: LithoConfig
@@ -241,14 +248,20 @@ class AmbitModel:
             focus_stencils=focus_stencils,
         )
 
-    def window_kernels(self, shape: Tuple[int, int], defocus_nm: float = 0.0) -> SOCSKernels:
+    def window_kernels(
+        self,
+        shape: Tuple[int, int],
+        defocus_nm: float = 0.0,
+        retain_kernels: bool = True,
+    ) -> SOCSKernels:
         """The model's kernels as a dense-support SOCS set on ``shape``.
 
         The stencil is embedded on the window grid wrapped around the
-        origin and transformed with one ``fft2``; multiplying a mask
-        spectrum by the result is exactly periodic convolution with the
-        centred stencil, which the overlap-discard construction turns
-        into linear convolution inside the core.
+        origin and transformed with one in-place ``fft2``; multiplying a
+        mask spectrum by the result is exactly periodic convolution with
+        the centred stencil, which the overlap-discard construction turns
+        into linear convolution inside the core.  With ``retain_kernels``
+        false a set not already cached is built but not kept.
         """
         key = (tuple(shape), float(defocus_nm))
         cached = self._window_cache.get(key)
@@ -270,14 +283,15 @@ class AmbitModel:
         offsets = np.arange(-self.ambit_px, self.ambit_px + 1)
         emb = np.zeros((len(stencil_set.weights), rows, cols), dtype=np.complex128)
         emb[:, (offsets % rows)[:, None], (offsets % cols)[None, :]] = stencil_set.stencils
-        spectra = np.fft.fft2(emb, axes=(-2, -1)).reshape(len(stencil_set.weights), -1)
+        spectra = get_backend("numpy").fft2(emb, out=emb).reshape(len(stencil_set.weights), -1)
         kernels = SOCSKernels(
             support=_dense_support((rows, cols), self.pixel_nm),
             weights=stencil_set.weights.copy(),
             spectra=spectra,
             defocus_nm=float(defocus_nm),
         )
-        self._window_cache[key] = kernels
+        if retain_kernels:
+            self._window_cache[key] = kernels
         return kernels
 
     def simulator_for(
@@ -286,6 +300,7 @@ class AmbitModel:
         obs: Optional[Instrumentation] = None,
         batch_forward: bool = True,
         backend: Optional[str] = None,
+        retain_kernels: bool = True,
     ) -> "WindowSimulator":
         """A :class:`WindowSimulator` on a window of ``shape`` pixels.
 
@@ -293,9 +308,16 @@ class AmbitModel:
         instance); ``None`` defers to the optics config / environment /
         numpy-reference chain.  Backend instances are process-wide
         singletons, so every window sharing a spec shares one backend.
+        ``retain_kernels=False`` is for a one-off shape: the simulator
+        holds its kernel sets and the model does not keep them.
         """
         return WindowSimulator(
-            self, shape, obs=obs, batch_forward=batch_forward, backend=backend
+            self,
+            shape,
+            obs=obs,
+            batch_forward=batch_forward,
+            backend=backend,
+            retain_kernels=retain_kernels,
         )
 
 
@@ -317,6 +339,7 @@ class WindowSimulator(LithographySimulator):
         obs: Optional[Instrumentation] = None,
         batch_forward: bool = True,
         backend: Optional[str] = None,
+        retain_kernels: bool = True,
     ) -> None:
         config = LithoConfig(
             grid=GridSpec(shape=tuple(shape), pixel_nm=model.pixel_nm),
@@ -326,6 +349,7 @@ class WindowSimulator(LithographySimulator):
         )
         super().__init__(config, obs=obs, batch_forward=batch_forward, backend=backend)
         self.model = model
+        self.retain_kernels = retain_kernels
 
     def kernels_at(self, defocus_nm: float = 0.0) -> SOCSKernels:
         """The ambit model's kernels on this window (cache-accounted)."""
@@ -338,7 +362,7 @@ class WindowSimulator(LithographySimulator):
         self._cache_misses += 1
         self.obs.metrics.counter("kernel_cache_misses").inc()
         with self.obs.tracer.span("window_kernel_embed"):
-            kernels = self.model.window_kernels(self.grid.shape, key)
+            kernels = self.model.window_kernels(self.grid.shape, key, self.retain_kernels)
         self._kernel_cache[key] = kernels
         return kernels
 

@@ -456,7 +456,10 @@ class FullChipEngine:
         pad = model.ambit_px
         padded = np.pad(np.asarray(mask, dtype=np.float64), pad)
         sim = model.simulator_for(
-            padded.shape, obs=self.obs, backend=self.config.backend
+            padded.shape,
+            obs=self.obs,
+            backend=self.config.backend,
+            retain_kernels=False,
         )
         aerial = sim.aerial(padded, corner)
         return aerial[pad:-pad, pad:-pad] if pad else aerial
@@ -523,7 +526,10 @@ class FullChipEngine:
         pad = model.ambit_px
         padded = np.pad(np.asarray(mask, dtype=np.float64), pad)
         sim = model.simulator_for(
-            padded.shape, obs=self.obs, backend=self.config.backend
+            padded.shape,
+            obs=self.obs,
+            backend=self.config.backend,
+            retain_kernels=False,
         )
         printed = sim.print_binary(padded, corner)
         return printed[pad:-pad, pad:-pad] if pad else printed
@@ -710,7 +716,10 @@ class FullChipEngine:
                 pad = model.ambit_px
                 padded = np.pad(binary, pad)
                 sim = model.simulator_for(
-                    padded.shape, obs=self.obs, backend=self.config.backend
+                    padded.shape,
+                    obs=self.obs,
+                    backend=self.config.backend,
+                    retain_kernels=False,
                 )
                 corners = sim.corners()
                 printed_by_corner = [

@@ -28,7 +28,9 @@ views, a band-limited one takes index arrays.  When every support is
 band-limited to a small set of frequency rows, the batched transforms
 additionally prune the row pass to the touched rows — bitwise-identical
 output for the forward direction, since transforming exact zeros yields
-exact zeros.
+exact zeros.  Every batched transform runs in place (``out=``) on the one
+stack it has filled, so a forward or adjoint allocates no further
+stack-sized arrays.
 
 Array backends: every entry point takes an optional ``xp``
 (:class:`~repro.xp.ArrayBackend` or spec string).  The default resolves
@@ -275,6 +277,18 @@ def _support_rows(
     return rows
 
 
+def _pruned_flat(
+    kernel_sets: Sequence[SOCSKernels], rows_used: np.ndarray, num_cols: int, xp: ArrayBackend
+) -> List[Any]:
+    """Each set's support positions in the flattened ``(rows_used, cols)`` grid."""
+    return [
+        xp.asarray(
+            np.searchsorted(rows_used, ks.support.rows) * num_cols + ks.support.cols, "index"
+        )
+        for ks in kernel_sets
+    ]
+
+
 def batched_field_stacks(
     cache: ForwardCache, kernel_sets: Sequence[SOCSKernels]
 ) -> List[Any]:
@@ -282,8 +296,8 @@ def batched_field_stacks(
 
     The batched counterpart of :func:`field_stack`: every (kernel-set x
     kernel) spectrum product is stacked onto the leading axis and a
-    single batched ``ifft2`` transforms them all, sharing the cached
-    mask spectrum across sets.  Runs on the cache's backend.
+    single batched ``ifft2`` transforms them all in place, sharing the
+    cached mask spectrum across sets.  Runs on the cache's backend.
 
     Args:
         cache: the mask's spectrum cache.
@@ -291,8 +305,8 @@ def batched_field_stacks(
 
     Returns:
         List of backend-native complex ``(h_i, rows, cols)`` field
-        stacks aligned with ``kernel_sets`` (empty input gives an empty
-        list).
+        stacks aligned with ``kernel_sets``, views of one buffer (empty
+        input gives an empty list).
     """
     xp = cache.xp
     kernel_sets = list(kernel_sets)
@@ -302,31 +316,38 @@ def batched_field_stacks(
     if cache.shape != shape:
         raise GridError(f"mask shape {cache.shape} != kernel grid {shape}")
     counts = [ks.num_kernels for ks in kernel_sets]
+    total = sum(counts)
     datas = [xp.kernel_data(ks) for ks in kernel_sets]
-    # Full-grid supports write every element of the stack; band-limited
-    # ones rely on the zeros everywhere off their support.
-    alloc = xp.empty if all(kd.full_grid for kd in datas) else xp.zeros
-    stacked = alloc((sum(counts),) + shape, "complex")
-    flat_stack = stacked.reshape(sum(counts), -1)
+    rows_used = _support_rows(kernel_sets, datas, shape[0])
+    if rows_used is None:
+        # Full-grid supports write every element of the stack; band-limited
+        # ones rely on the zeros everywhere off their support.
+        alloc = xp.empty if all(kd.full_grid for kd in datas) else xp.zeros
+        stacked = alloc((total,) + shape, "complex")
+        fill_at = [kd.flat for kd in datas]
+    else:
+        # Row-pruned: the spectra are nonzero only on the band-limited
+        # support rows, so only those rows are stacked.
+        stacked = xp.zeros((total, len(rows_used), shape[1]), "complex")
+        fill_at = _pruned_flat(kernel_sets, rows_used, shape[1], xp)
+    flat_stack = stacked.reshape(total, -1)
     pos = 0
-    for ks, kd in zip(kernel_sets, datas):
+    for ks, kd, at in zip(kernel_sets, datas, fill_at):
         # Two-step view indexing (slice first, then the support index)
         # keeps the write portable across numpy/cupy/torch setitem rules.
         block = flat_stack[pos : pos + ks.num_kernels]
-        block[:, kd.flat] = cache.gathered(ks)[None, :] * kd.spectra
+        block[:, at] = cache.gathered(ks)[None, :] * kd.spectra
         pos += ks.num_kernels
-    rows_used = _support_rows(kernel_sets, datas, shape[0])
     if rows_used is None:
-        fields = xp.ifft2(stacked)
+        fields = xp.ifft2(stacked, out=stacked)
     else:
-        # Row-pruned separable inverse: the stacked spectra are nonzero
-        # only on the band-limited support rows, so the first 1-D pass
-        # skips the all-zero rows (bitwise-identical to the full ifft2 —
-        # transforming exact zeros yields exact zeros).
-        ru = xp.asarray(rows_used, "index")
-        fields = xp.zeros(tuple(stacked.shape), "complex")
-        fields[:, ru, :] = xp.ifft(stacked[:, ru, :], axis=-1)
-        fields = xp.ifft(fields, axis=-2)
+        # Separable inverse, row pass on the support rows alone, then the
+        # column pass on the full grid (bitwise-identical to the full
+        # ifft2 — transforming exact zeros yields exact zeros).
+        xp.ifft(stacked, axis=-1, out=stacked)
+        fields = xp.zeros((total,) + shape, "complex")
+        fields[:, xp.asarray(rows_used, "index"), :] = stacked
+        xp.ifft(fields, axis=-2, out=fields)
     out: List[Any] = []
     pos = 0
     for h in counts:
@@ -380,19 +401,16 @@ def accumulate_backprojection(
     datas = [xp.kernel_data(ks) for ks in kernel_sets]
     rows_used = _support_rows(kernel_sets, datas, shape[0])
     if rows_used is None:
-        w_hat = xp.fft2(stacked).reshape(total, -1)
+        w_hat = xp.fft2(stacked, out=stacked).reshape(total, -1)
         gather_at = [kd.flat for kd in datas]
     else:
         # Row-pruned separable forward: only the support rows of the
         # spectrum are ever gathered, so the second 1-D pass runs on
         # those rows alone, and the gathers index the pruned grid.
-        ru = xp.asarray(rows_used, "index")
-        w_hat = xp.fft(xp.fft(stacked, axis=-2)[:, ru, :], axis=-1)
-        w_hat = w_hat.reshape(total, -1)
-        gather_at = []
-        for ks in kernel_sets:
-            row_idx = np.searchsorted(rows_used, ks.support.rows)
-            gather_at.append(xp.asarray(row_idx * shape[1] + ks.support.cols, "index"))
+        xp.fft(stacked, axis=-2, out=stacked)
+        w_hat = stacked[:, xp.asarray(rows_used, "index"), :]
+        w_hat = xp.fft(w_hat, axis=-1, out=w_hat).reshape(total, -1)
+        gather_at = _pruned_flat(kernel_sets, rows_used, shape[1], xp)
     accum = xp.zeros(shape, "complex")
     accum_flat = accum.reshape(-1)
     pos = 0
@@ -405,4 +423,4 @@ def accumulate_backprojection(
             xp.multiply(gathered, kd.conj_spectra, out=gathered)
         accum_flat[kd.flat] += xp.einsum("k,ks->s", kd.weights, gathered)
         pos += h
-    return xp.to_numpy(2.0 * xp.real(xp.ifft2(accum)))
+    return xp.to_numpy(2.0 * xp.real(xp.ifft2(accum, out=accum)))

@@ -84,6 +84,18 @@ class DeviceKernelData:
         return isinstance(self.flat, slice)
 
 
+def copy_into(out: Any, result: Any) -> Any:
+    """``result``, or its values written into ``out`` when one is given.
+
+    For libraries whose FFTs take no ``out=``: the transform allocates
+    its result and this copies it into the caller's array.
+    """
+    if out is None or result is out:
+        return result
+    out[...] = result
+    return out
+
+
 class ArrayBackend:
     """Contract every array backend implements.
 
@@ -159,18 +171,23 @@ class ArrayBackend:
         raise NotImplementedError
 
     # -- transforms --------------------------------------------------------
+    #
+    # Every transform takes ``out=``, an existing complex array of the
+    # result's shape (``out`` may be ``x`` itself), written and returned
+    # the way :meth:`multiply` does; without it the result is a new array.
+    # The hot path transforms the stacks it has filled in place.
 
-    def fft2(self, x: Any) -> Any:
+    def fft2(self, x: Any, out: Any = None) -> Any:
         """2-D FFT over the last two axes (batched over leading axes)."""
         raise NotImplementedError
 
-    def ifft2(self, x: Any) -> Any:
+    def ifft2(self, x: Any, out: Any = None) -> Any:
         raise NotImplementedError
 
-    def fft(self, x: Any, axis: int) -> Any:
+    def fft(self, x: Any, axis: int, out: Any = None) -> Any:
         raise NotImplementedError
 
-    def ifft(self, x: Any, axis: int) -> Any:
+    def ifft(self, x: Any, axis: int, out: Any = None) -> Any:
         raise NotImplementedError
 
     def einsum(self, subscripts: str, *operands: Any) -> Any:

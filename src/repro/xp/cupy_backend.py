@@ -4,6 +4,7 @@ Imported lazily by the registry; raises ``ImportError`` when cupy is not
 installed (translated into :class:`~repro.errors.OpticsError`).  CuPy
 mirrors the numpy API closely — including single-precision FFTs, which
 ``numpy.fft`` itself lacks — so this adapter is a thin dispatch layer.
+``cupy.fft`` takes no ``out=``; transform results are copied into it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Any, Tuple
 import cupy as cp
 import numpy as np
 
-from .base import ArrayBackend
+from .base import ArrayBackend, copy_into
 
 
 class CupyBackend(ArrayBackend):
@@ -42,17 +43,17 @@ class CupyBackend(ArrayBackend):
 
     # -- transforms --------------------------------------------------------
 
-    def fft2(self, x: Any) -> Any:
-        return cp.fft.fft2(x, axes=(-2, -1))
+    def fft2(self, x: Any, out: Any = None) -> Any:
+        return copy_into(out, cp.fft.fft2(x, axes=(-2, -1)))
 
-    def ifft2(self, x: Any) -> Any:
-        return cp.fft.ifft2(x, axes=(-2, -1))
+    def ifft2(self, x: Any, out: Any = None) -> Any:
+        return copy_into(out, cp.fft.ifft2(x, axes=(-2, -1)))
 
-    def fft(self, x: Any, axis: int) -> Any:
-        return cp.fft.fft(x, axis=axis)
+    def fft(self, x: Any, axis: int, out: Any = None) -> Any:
+        return copy_into(out, cp.fft.fft(x, axis=axis))
 
-    def ifft(self, x: Any, axis: int) -> Any:
-        return cp.fft.ifft(x, axis=axis)
+    def ifft(self, x: Any, axis: int, out: Any = None) -> Any:
+        return copy_into(out, cp.fft.ifft(x, axis=axis))
 
     def einsum(self, subscripts: str, *operands: Any) -> Any:
         return cp.einsum(subscripts, *operands)

@@ -10,6 +10,13 @@ always computes in double precision, so the float32 transforms route
 through ``scipy.fft`` (same pocketfft core), which preserves single
 precision end to end — that is where the float32 speedup in
 ``BENCH_backend.json`` comes from.
+
+Transforms with ``out=``: the float64 2-D transforms are the two 1-D
+``numpy.fft`` passes ``fft2``/``ifft2`` themselves run (axis -1, then
+axis -2), each given ``out=`` — bitwise-equal to ``numpy.fft.ifft2``,
+which would ignore an ``out=`` (numpy 2.4 hands ``out=None`` to its
+passes), and in place when ``out`` is ``x``.  ``scipy.fft`` has no
+``out=``, so float32 results are copied into ``out``.
 """
 
 from __future__ import annotations
@@ -19,7 +26,13 @@ from typing import Any, Tuple
 import numpy as np
 import scipy.fft
 
-from .base import ArrayBackend
+from .base import ArrayBackend, copy_into
+
+
+def _two_passes(fft_1d: Any, x: Any, out: Any) -> Any:
+    """The 2-D transform as ``numpy.fft`` runs it: axis -1, then axis -2."""
+    out = fft_1d(x, axis=-1, out=out)
+    return fft_1d(out, axis=-2, out=out)
 
 
 class NumpyBackend(ArrayBackend):
@@ -31,7 +44,7 @@ class NumpyBackend(ArrayBackend):
         super().__init__(precision)
         # float64 keeps np.fft for bitwise identity with the legacy path;
         # float32 needs scipy.fft, which honours single precision.
-        self._fft_mod = np.fft if precision == "float64" else scipy.fft
+        self._float64 = precision == "float64"
 
     # -- array construction / crossing ------------------------------------
 
@@ -54,17 +67,25 @@ class NumpyBackend(ArrayBackend):
 
     # -- transforms --------------------------------------------------------
 
-    def fft2(self, x: Any) -> Any:
-        return self._fft_mod.fft2(x, axes=(-2, -1))
+    def fft2(self, x: Any, out: Any = None) -> Any:
+        if self._float64:
+            return _two_passes(np.fft.fft, x, out)
+        return copy_into(out, scipy.fft.fft2(x, axes=(-2, -1)))
 
-    def ifft2(self, x: Any) -> Any:
-        return self._fft_mod.ifft2(x, axes=(-2, -1))
+    def ifft2(self, x: Any, out: Any = None) -> Any:
+        if self._float64:
+            return _two_passes(np.fft.ifft, x, out)
+        return copy_into(out, scipy.fft.ifft2(x, axes=(-2, -1)))
 
-    def fft(self, x: Any, axis: int) -> Any:
-        return self._fft_mod.fft(x, axis=axis)
+    def fft(self, x: Any, axis: int, out: Any = None) -> Any:
+        if self._float64:
+            return np.fft.fft(x, axis=axis, out=out)
+        return copy_into(out, scipy.fft.fft(x, axis=axis))
 
-    def ifft(self, x: Any, axis: int) -> Any:
-        return self._fft_mod.ifft(x, axis=axis)
+    def ifft(self, x: Any, axis: int, out: Any = None) -> Any:
+        if self._float64:
+            return np.fft.ifft(x, axis=axis, out=out)
+        return copy_into(out, scipy.fft.ifft(x, axis=axis))
 
     def einsum(self, subscripts: str, *operands: Any) -> Any:
         return np.einsum(subscripts, *operands)

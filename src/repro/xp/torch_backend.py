@@ -70,17 +70,17 @@ class TorchBackend(ArrayBackend):
 
     # -- transforms --------------------------------------------------------
 
-    def fft2(self, x: Any) -> Any:
-        return torch.fft.fft2(x, dim=(-2, -1))
+    def fft2(self, x: Any, out: Any = None) -> Any:
+        return torch.fft.fft2(x, dim=(-2, -1), out=out)
 
-    def ifft2(self, x: Any) -> Any:
-        return torch.fft.ifft2(x, dim=(-2, -1))
+    def ifft2(self, x: Any, out: Any = None) -> Any:
+        return torch.fft.ifft2(x, dim=(-2, -1), out=out)
 
-    def fft(self, x: Any, axis: int) -> Any:
-        return torch.fft.fft(x, dim=axis)
+    def fft(self, x: Any, axis: int, out: Any = None) -> Any:
+        return torch.fft.fft(x, dim=axis, out=out)
 
-    def ifft(self, x: Any, axis: int) -> Any:
-        return torch.fft.ifft(x, dim=axis)
+    def ifft(self, x: Any, axis: int, out: Any = None) -> Any:
+        return torch.fft.ifft(x, dim=axis, out=out)
 
     def einsum(self, subscripts: str, *operands: Any) -> Any:
         # torch.einsum requires a common dtype; numpy promotes implicitly

@@ -12,8 +12,9 @@ Four layers, mirroring the seam's contract (``src/repro/xp/base.py``):
    without importing torch/cupy.
 3. **Adapter conformance** — per registered backend (skipping absent
    libraries): dtype round-trips through ``asarray``/``to_numpy``,
-   ``fft2 ∘ ifft2`` identity, elementwise ops against numpy, and the
-   identity-keyed device kernel cache.
+   ``fft2 ∘ ifft2`` identity, elementwise ops against numpy, the
+   identity-keyed device kernel cache, and the transforms' ``out=``
+   contract (written in place, equal to the allocating call).
 4. **Golden history** — the checked-in 10-iteration ``mosaic_fast``
    trajectory is reproduced on every backend: tightly on the float64
    reference, within the float32 A/B gate elsewhere (measured headroom
@@ -308,6 +309,72 @@ class TestAdapterConformance:
             backend.to_numpy(first.weights),
             kernels.weights.astype(backend.float_dtype),
         )
+
+
+#: The numpy call each transform must equal on the reference backend.
+_NUMPY_TRANSFORMS = {
+    "fft2": lambda x: np.fft.fft2(x, axes=(-2, -1)),
+    "ifft2": lambda x: np.fft.ifft2(x, axes=(-2, -1)),
+    "fft": lambda x: np.fft.fft(x, axis=-2),
+    "ifft": lambda x: np.fft.ifft(x, axis=-2),
+}
+
+
+def _transform(backend, name, x, **out):
+    """Call a seam transform; the 1-D ones run along axis -2."""
+    if name in ("fft", "ifft"):
+        return getattr(backend, name)(x, axis=-2, **out)
+    return getattr(backend, name)(x, **out)
+
+
+class TestTransformOut:
+    """``fft2/ifft2/fft/ifft(x, out=buf)`` write into ``buf`` and return it,
+    also when ``buf is x``, with the values of the allocating call."""
+
+    @pytest.fixture(params=sorted(_NUMPY_TRANSFORMS))
+    def name(self, request):
+        return request.param
+
+    @pytest.fixture
+    def stack(self, rng):
+        # Non-square, batched: a pass over the wrong axis changes the result.
+        return rng.standard_normal((3, 12, 10)) + 1j * rng.standard_normal((3, 12, 10))
+
+    def _check(self, got, x, backend, name, backend_close):
+        # Equal to the call without out=, and to numpy's own transform
+        # (bitwise on the reference, within equivalence_rtol elsewhere).
+        plain = backend.to_numpy(_transform(backend, name, backend.asarray(x, "complex")))
+        backend_close(got, plain, backend, what=f"{name} out= vs allocating")
+        want = _NUMPY_TRANSFORMS[name](np.asarray(x, dtype=np.complex128))
+        backend_close(got, want, backend, what=f"{name} vs numpy.fft")
+
+    def test_writes_into_a_separate_buffer(self, backend, backend_close, name, stack):
+        x = backend.asarray(stack, "complex")
+        buf = backend.zeros(stack.shape, "complex")
+        result = _transform(backend, name, x, out=buf)
+        assert result is buf
+        if backend.name == "numpy":
+            assert np.shares_memory(result, buf)
+        # Read the values from buf: numpy.fft.ifft2 returns a fresh array
+        # and leaves an out= buffer all zeros.
+        self._check(backend.to_numpy(buf), stack, backend, name, backend_close)
+        assert np.array_equal(backend.to_numpy(x), stack.astype(backend.complex_dtype))
+
+    def test_in_place(self, backend, backend_close, name, stack):
+        x = backend.asarray(stack.copy(), "complex")
+        result = _transform(backend, name, x, out=x)
+        assert result is x
+        self._check(backend.to_numpy(x), stack, backend, name, backend_close)
+
+    def test_real_input_into_complex_buffer(self, backend, backend_close, rng):
+        # The mask spectrum: a real mask transformed into a complex buffer.
+        mask = rng.standard_normal((12, 10))
+        buf = backend.empty(mask.shape, "complex")
+        result = backend.fft2(backend.asarray(mask, "float"), out=buf)
+        assert result is buf
+        plain = backend.to_numpy(backend.fft2(backend.asarray(mask, "float")))
+        backend_close(backend.to_numpy(buf), plain, backend, what="real fft2 out=")
+        backend_close(backend.to_numpy(buf), np.fft.fft2(mask), backend, what="real fft2")
 
 
 class TestMaskTransformSeam:

@@ -13,6 +13,8 @@ apply to float64 backends while single-precision backends are held to
 the float32 forward gate instead.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -283,6 +285,60 @@ class TestSupportKinds:
             accumulate_backprojection(groups, xp=xp)
             assert len(calls) == len(sets)  # once per set, on the first adjoint
             assert all(xp.kernel_data(ks).conj_spectra is c for ks, c in zip(sets, first))
+
+
+@pytest.fixture(scope="module")
+def tile_window_sets():
+    """The ambit window kernels of a real full-chip tile (reduced litho,
+    core plus two halos: 372 px) at both focus values."""
+    from repro.fullchip import FullChipEngine
+    from repro.workloads.spec import load_workload
+
+    engine = FullChipEngine(LithoConfig.reduced())
+    shape = next(iter(engine.plan_for(load_workload("synth:1024x1024:1")))).window_shape
+    model = engine.model
+    return [model.window_kernels(shape, f) for f in model.defocus_values_nm]
+
+
+def _traced_peak(fn):
+    """(result, peak bytes allocated while ``fn`` ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAllocationBudget:
+    """The batched transforms run in place on the stack they fill: a
+    window forward allocates its field stack and little else, an adjoint
+    its weighted stack (allocating transforms held 3x the stack bytes)."""
+
+    def test_window_forward_and_adjoint_peaks(self, tile_window_sets):
+        sets = tile_window_sets
+        xp = get_backend("numpy")
+        mask, dfs = _pin_case(sets, xp)
+        stack_bytes = sum(ks.num_kernels for ks in sets) * mask.size * 16
+        # Warm the per-set device data (the conjugate spectra are built
+        # on the first adjoint and kept on the set).
+        accumulate_backprojection(
+            list(zip(dfs, batched_field_stacks(ForwardCache(mask, xp=xp), sets), sets)),
+            xp=xp,
+        )
+        cache = ForwardCache(mask, xp=xp)
+        stacks, forward_peak = _traced_peak(lambda: batched_field_stacks(cache, sets))
+        groups = list(zip(dfs, stacks, sets))
+        _, adjoint_peak = _traced_peak(lambda: accumulate_backprojection(groups, xp=xp))
+        assert forward_peak <= 1.6 * stack_bytes
+        assert adjoint_peak <= 1.3 * stack_bytes
+
+    def test_field_stacks_share_one_buffer(self, tile_window_sets):
+        xp = get_backend("numpy")
+        mask, _ = _pin_case(tile_window_sets, xp)
+        stacks = batched_field_stacks(ForwardCache(mask, xp=xp), tile_window_sets)
+        assert stacks[0].base is not None
+        assert all(s.base is stacks[0].base for s in stacks)
 
 
 class TestSimulatorEquivalence:

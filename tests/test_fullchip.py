@@ -121,6 +121,37 @@ class TestAmbitModel:
         assert ambit_model_for(fc_litho, probe_extent_nm=PROBE_NM) is fc_model
 
 
+class TestWindowKernelCache:
+    """The shared model outlives every engine, so it keeps the tile-window
+    kernel sets and none of the one-off padded-chip evaluation sets."""
+
+    def test_distinct_chip_sizes_leave_only_tile_windows(self, fc_litho, monkeypatch):
+        from repro.fullchip import ambit
+
+        monkeypatch.setattr(ambit, "_MODEL_CACHE", {})
+        engine = FullChipEngine(fc_litho, config=_fast_config())
+        tile_windows = set()
+        for size_nm in (1536.0, 2048.0, 2560.0):
+            grid = GridSpec.for_clip(size_nm, size_nm, PIXEL_NM)
+            mask = rasterize_layout(synthetic_canvas(size_nm, size_nm, seed=3), grid)
+            mask = mask.astype(np.float64)
+            plan = build_tile_plan(
+                Rect(0.0, 0.0, size_nm, size_nm),
+                tile_nm=engine.config.tile_nm,
+                halo_nm=engine.halo_nm,
+                pixel_nm=PIXEL_NM,
+            )
+            tile_windows |= {tile.window_shape for tile in plan}
+            mono = engine.aerial_monolithic(mask)
+            engine._print_binary_monolithic(mask)
+            tiled = engine.aerial_tiled(mask, plan)
+            assert np.max(np.abs(mono - tiled)) <= 1e-9
+            # A rebuilt one-off set images exactly as the first one did.
+            assert np.array_equal(engine.aerial_monolithic(mask), mono)
+        cached = {shape for shape, _ in engine.model._window_cache}
+        assert cached == tile_windows
+
+
 class TestSeamEquivalence:
     """Tiled == monolithic inside the cores — the subsystem's contract."""
 
