@@ -1,15 +1,14 @@
-"""A/B benchmark: batched vs legacy multi-corner forward engine.
+"""Benchmark of the batched multi-corner forward engine.
 
 Times the full optimizer iteration loop (MOSAIC_fast objective: F_id +
-F_pvb across all process corners) on B1 at the bench scale, with the
-batched shared-FFT engine against the historical per-corner,
-one-FFT-per-kernel path.  The ISSUE acceptance bar is a >= 1.5x speedup
-with aerial images agreeing to <= 1e-10 max abs diff; both are asserted
-here and recorded in ``BENCH_forward_batching.json`` at the repository
-root (uploaded as a CI artifact and gated against the checked-in
-baseline by ``python -m repro bench-check``, which reads regression
-direction off the key names: ``*_s`` lower-is-better, ``speedup*``
-higher-is-better, ``*floor*`` config echoes).
+F_pvb across all process corners) on B1 at the bench scale
+(``batched_s``).  Before any timing is trusted, the batched aerial
+images at every corner must agree with per-corner ``sim.aerial`` calls
+to <= 1e-10 max abs diff.  The record goes to
+``BENCH_forward_batching.json`` at the repository root (uploaded as a
+CI artifact and gated against the checked-in baseline by
+``python -m repro bench-check``, which reads regression direction off
+the key names: ``*_s`` lower-is-better, ``*tol*`` config echoes).
 
 The record also carries ``window_forward_adjoint_s``: the absolute time
 of one batched forward+adjoint pass on a full-chip tile window (ambit
@@ -23,12 +22,10 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.config import OptimizerConfig
 from repro.fullchip import FullChipEngine
 from repro.geometry.raster import rasterize_layout
-from repro.litho.simulator import LithographySimulator
 from repro.opc.mosaic import MosaicFast
 from repro.opc.optimizer import GradientDescentOptimizer
 from repro.optics.hopkins import (
@@ -47,7 +44,6 @@ ITERATIONS = 10
 ROUNDS = 3
 WINDOW_ROUNDS = 5
 WINDOW_CHIP = "synth:1024x1024:1"
-SPEEDUP_FLOOR = 1.5
 AERIAL_TOL = 1e-10
 
 
@@ -66,12 +62,11 @@ def _make_runner(sim, layout):
 def _time_loop(sim, layout):
     run = _make_runner(sim, layout)
     best = np.inf
-    result = None
     for _ in range(ROUNDS):
         start = time.perf_counter()
-        result = run()
+        run()
         best = min(best, time.perf_counter() - start)
-    return best, result
+    return best
 
 
 def _time_window(litho):
@@ -98,32 +93,21 @@ def _time_window(litho):
     return shape, best
 
 
-def test_forward_batching_speedup(benchmark, bench_config, bench_sim, emit):
+def test_forward_batching_timing(benchmark, bench_config, bench_sim, emit):
     layout = load_benchmark("B1")
-    legacy_sim = LithographySimulator(bench_config, batch_forward=False)
-    legacy_sim.prewarm()
 
-    # Numerical equivalence gate: identical aerial images at every corner
-    # before any timing is trusted.
+    # Numerical equivalence gate: the batched aerial images match
+    # per-corner imaging at every corner before any timing is trusted.
     mask = MosaicFast(bench_config, simulator=bench_sim).initial_mask(layout)
     corners = bench_sim.corners()
     batched_images = bench_sim.simulate_all_corners(mask, corners)
-    legacy_images = legacy_sim.simulate_all_corners(mask, corners)
     max_abs_diff = max(
-        float(np.max(np.abs(b - ref)))
-        for b, ref in zip(batched_images, legacy_images)
+        float(np.max(np.abs(image - bench_sim.aerial(mask, corner))))
+        for corner, image in zip(corners, batched_images)
     )
     assert max_abs_diff <= AERIAL_TOL
 
-    legacy_s, legacy_result = _time_loop(legacy_sim, layout)
-    batched_s, batched_result = _time_loop(bench_sim, layout)
-    speedup = legacy_s / batched_s
-
-    # Same trajectory either way: the engines are interchangeable.
-    assert batched_result.history.objectives[-1] == pytest.approx(
-        legacy_result.history.objectives[-1], rel=1e-9
-    )
-
+    batched_s = _time_loop(bench_sim, layout)
     window_shape, window_s = _time_window(bench_config)
 
     benchmark.pedantic(_make_runner(bench_sim, layout), rounds=1, iterations=1)
@@ -136,13 +120,10 @@ def test_forward_batching_speedup(benchmark, bench_config, bench_sim, emit):
         "corners": len(corners),
         "iterations": ITERATIONS,
         "rounds": ROUNDS,
-        "legacy_s": round(legacy_s, 4),
         "batched_s": round(batched_s, 4),
-        "speedup": round(speedup, 3),
         "max_abs_diff_aerial": max_abs_diff,
         "window_shape": list(window_shape),
         "window_forward_adjoint_s": round(window_s, 4),
-        "speedup_floor": SPEEDUP_FLOOR,
         "aerial_tol": AERIAL_TOL,
     }
     BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n")
@@ -150,14 +131,10 @@ def test_forward_batching_speedup(benchmark, bench_config, bench_sim, emit):
         "perf_forward_batching",
         "\n".join(
             [
-                f"  legacy   ({ITERATIONS} iterations): {legacy_s:8.2f} s",
                 f"  batched  ({ITERATIONS} iterations): {batched_s:8.2f} s",
-                f"  speedup: {speedup:.2f}x (floor {SPEEDUP_FLOOR}x)",
                 f"  max abs aerial diff: {max_abs_diff:.3e} (tol {AERIAL_TOL:.0e})",
                 f"  window {window_shape[0]}x{window_shape[1]} forward+adjoint: "
                 f"{window_s * 1e3:8.1f} ms",
             ]
         ),
     )
-
-    assert speedup >= SPEEDUP_FLOOR

@@ -298,7 +298,6 @@ class AmbitModel:
         self,
         shape: Tuple[int, int],
         obs: Optional[Instrumentation] = None,
-        batch_forward: bool = True,
         backend: Optional[str] = None,
         retain_kernels: bool = True,
     ) -> "WindowSimulator":
@@ -315,7 +314,6 @@ class AmbitModel:
             self,
             shape,
             obs=obs,
-            batch_forward=batch_forward,
             backend=backend,
             retain_kernels=retain_kernels,
         )
@@ -337,7 +335,6 @@ class WindowSimulator(LithographySimulator):
         model: AmbitModel,
         shape: Tuple[int, int],
         obs: Optional[Instrumentation] = None,
-        batch_forward: bool = True,
         backend: Optional[str] = None,
         retain_kernels: bool = True,
     ) -> None:
@@ -347,7 +344,7 @@ class WindowSimulator(LithographySimulator):
             resist=model.litho.resist,
             process=model.litho.process,
         )
-        super().__init__(config, obs=obs, batch_forward=batch_forward, backend=backend)
+        super().__init__(config, obs=obs, backend=backend)
         self.model = model
         self.retain_kernels = retain_kernels
 

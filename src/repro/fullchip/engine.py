@@ -639,10 +639,6 @@ class FullChipEngine:
                     timeout_s=cfg.tile_timeout_s,
                     telemetry=telemetry_cfg,
                     backend=cfg.backend,
-                    # Shared-memory transport is a pool-boundary trick;
-                    # the queue executor moves results through its
-                    # durable results/ files instead.
-                    share_result=cfg.workers > 1 and cfg.executor == "pool",
                 )
                 for tile in plan
             ]

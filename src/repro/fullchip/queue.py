@@ -903,14 +903,20 @@ class TileJobQueue:
                 tile, token = parsed
                 if tile not in best or (token, -rank) > best[tile][:2]:
                     best[tile] = (token, -rank, key)
-        settled = set(best)
         for _token, _rank, key in best.values():
             counts[key] += 1
-        for sub, key in ((PENDING_DIRNAME, "pending"), (LEASED_DIRNAME, "leased")):
-            for path in self._dir(sub).glob("*.json"):
-                parsed = _parse_entry_name(path.name)
-                if parsed is not None and parsed[0] not in settled:
-                    counts[key] += 1
+
+        def unsettled(sub: str) -> set:
+            entries = (_parse_entry_name(p.name) for p in self._dir(sub).glob("*.json"))
+            return {e[0] for e in entries if e is not None} - set(best)
+
+        # Pending is scanned first: a claim (pending -> leased rename)
+        # between the two scans then shows its tile in both sets rather
+        # than in neither, and the tile counts once, as leased.
+        pending = unsettled(PENDING_DIRNAME)
+        leased = unsettled(LEASED_DIRNAME)
+        counts["pending"] = len(pending - leased)
+        counts["leased"] = len(leased)
         return counts
 
 

@@ -129,10 +129,6 @@ class TileJob:
             environment / numpy-reference chain.  Backends are cached
             per spec and process, so every tile a pool worker solves
             batches through one backend instance.
-        share_result: return the solved window mask through POSIX
-            shared memory (a :class:`SharedMaskRef` in the result)
-            instead of pickling the ndarray through the pool pipe; the
-            parent copies it out and unlinks the segment.
     """
 
     tile: TileSpec
@@ -150,7 +146,6 @@ class TileJob:
     timeout_s: Optional[float] = None
     telemetry: Optional[WorkerTelemetryConfig] = None
     backend: Optional[str] = None
-    share_result: bool = False
 
     def __post_init__(self) -> None:
         if self.solver_mode not in SOLVER_MODES:
@@ -166,23 +161,6 @@ class TileJob:
             object.__setattr__(self, "backend", validate_backend_spec(self.backend))
 
 
-@dataclass(frozen=True)
-class SharedMaskRef:
-    """Handle to a solved window mask parked in POSIX shared memory.
-
-    Workers built with ``share_result=True`` copy the mask into a
-    ``multiprocessing.shared_memory`` segment and send this small
-    picklable reference through the pool pipe instead of the ndarray;
-    the parent attaches, copies the mask out, and unlinks the segment
-    (:func:`absorb_shared_mask`).
-    """
-
-    name: str
-    shape: Tuple[int, int]
-    dtype: str
-    nbytes: int
-
-
 @dataclass
 class TileResult:
     """Outcome of one tile solve.
@@ -190,17 +168,13 @@ class TileResult:
     Attributes:
         index: the tile's plan index.
         status: harness-style execution record.
-        mask: optimized window mask (None when the tile failed, or when
-            the mask travelled through shared memory and has not been
-            absorbed yet).
+        mask: optimized window mask (None when the tile failed).
         epe_violations / pv_band_nm2 / score_total: the tile's own
             contest-score components, measured on its window.
         from_cache: the result came from a prior run's done marker.
         telemetry: compact worker-telemetry summary (None when the job
             ran without telemetry, came from cache, or died before the
             worker could summarize).
-        mask_ref: shared-memory handle standing in for ``mask`` while
-            the result crosses the process boundary.
     """
 
     index: Tuple[int, int]
@@ -211,7 +185,6 @@ class TileResult:
     score_total: float = 0.0
     from_cache: bool = False
     telemetry: Optional[TileTelemetry] = None
-    mask_ref: Optional[SharedMaskRef] = None
 
     @property
     def ok(self) -> bool:
@@ -471,102 +444,6 @@ def _solve_once(
     return solver.solve(job.layout, resume_from=resume_from)
 
 
-def export_shared_mask(result: TileResult) -> TileResult:
-    """Park a result's mask in shared memory (runs in the worker).
-
-    Replaces ``mask`` with a :class:`SharedMaskRef` so the pool pipe
-    carries a ~100-byte handle instead of a pickled ndarray.  Any
-    failure degrades gracefully back to the pickling path — transport
-    must never lose a solved tile.
-    """
-    if result.mask is None or result.mask_ref is not None:
-        return result
-    try:
-        from multiprocessing import shared_memory
-
-        mask = np.ascontiguousarray(result.mask)
-        segment = shared_memory.SharedMemory(create=True, size=mask.nbytes)
-        try:
-            np.ndarray(mask.shape, dtype=mask.dtype, buffer=segment.buf)[...] = mask
-            result.mask_ref = SharedMaskRef(
-                name=segment.name,
-                shape=tuple(mask.shape),
-                dtype=str(mask.dtype),
-                nbytes=int(mask.nbytes),
-            )
-            result.mask = None
-        finally:
-            segment.close()
-    except Exception as exc:  # noqa: BLE001 - fall back to pickling the mask
-        logger.warning(
-            "tile %s: shared-memory export failed (%s); pickling mask instead",
-            result.index, exc,
-        )
-    return result
-
-
-def absorb_shared_mask(
-    result: TileResult, obs: Optional[Instrumentation] = None
-) -> TileResult:
-    """Materialize a shared-memory mask in the parent and free the segment.
-
-    Updates the transport accounting either way:
-    ``fullchip_result_bytes_shared`` counts mask bytes that crossed via
-    shared memory, ``fullchip_result_bytes_pickled`` those that crossed
-    inside the pickled result — the observable proof that the pool has
-    stopped serializing mask ndarrays.
-    """
-    obs = obs or Instrumentation.disabled()
-    if result.mask_ref is None:
-        if result.mask is not None:
-            obs.metrics.counter("fullchip_result_bytes_pickled").inc(
-                int(result.mask.nbytes)
-            )
-        return result
-    ref = result.mask_ref
-    try:
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(name=ref.name)
-        try:
-            result.mask = np.ndarray(
-                ref.shape, dtype=np.dtype(ref.dtype), buffer=segment.buf
-            ).copy()
-        finally:
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already reclaimed
-                pass
-        result.mask_ref = None
-        obs.metrics.counter("fullchip_result_bytes_shared").inc(int(ref.nbytes))
-    except Exception as exc:  # noqa: BLE001 - a lost segment fails the tile
-        result.mask_ref = None
-        result.status = CellStatus(
-            status="failed",
-            attempts=result.status.attempts,
-            runtime_s=result.status.runtime_s,
-            error=f"shared-memory mask {ref.name} unreadable: {exc}",
-        )
-    return result
-
-
-def _ensure_resource_tracker() -> None:
-    """Start the multiprocessing resource tracker in this (parent) process.
-
-    Must happen *before* a fork pool is created: forked workers then
-    inherit the parent's tracker, so segments registered by workers and
-    unlinked by the parent reconcile in one place instead of producing
-    leaked-resource warnings at worker exit.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-    except Exception as exc:  # noqa: BLE001 - tracker is best-effort hygiene
-        logger.debug("resource tracker not started: %s", exc)
-
-
 def solve_tile_job(
     job: TileJob,
     attempt_base: int = 0,
@@ -578,8 +455,6 @@ def solve_tile_job(
     into the returned :class:`TileResult` so keep-going decisions happen
     in the parent, on data.  Empty tiles (no geometry in the window)
     short-circuit to an all-dark mask without spinning up a solver.
-    With ``job.share_result`` the returned mask travels through shared
-    memory (:func:`export_shared_mask`) rather than the result pickle.
 
     ``attempt_base`` offsets the attempt numbering for queue workers
     re-running a requeued job (generation N starts at attempt N+1, so
@@ -588,15 +463,6 @@ def solve_tile_job(
     ``on_beat`` is forwarded to the worker's heartbeat writer — the
     queue executor's lease-renewal hook.
     """
-    result = _solve_tile_job_impl(job, attempt_base=attempt_base, on_beat=on_beat)
-    if job.share_result:
-        result = export_shared_mask(result)
-    return result
-
-
-def _solve_tile_job_impl(
-    job: TileJob, attempt_base: int = 0, on_beat=None
-) -> TileResult:
     tile = job.tile
     state_dir = _tile_state_dir(job)
     if job.resume and state_dir is not None:

@@ -6,14 +6,16 @@ once per iteration and sharing them is the single biggest runtime win in
 the optimizer, so the cache is explicit and objectives receive it rather
 than a raw mask.
 
-In batched mode (the default, inherited from the simulator's
-``batch_forward``) the context additionally shares one ``fft2(M)`` per
-iterate across *all* corners and objective terms (observable through
-:meth:`ForwardContext.cache_info` and the ``forward_fft_reuse`` metric),
-evaluates all requested focus conditions with a single vectorized
-inverse FFT (:meth:`ForwardContext.ensure_fields`), and accumulates
-multi-corner gradients through one batched adjoint pass
+The context shares one ``fft2(M)`` per iterate across *all* corners and
+objective terms (observable through :meth:`ForwardContext.cache_info`
+and the ``forward_fft_reuse`` metric), evaluates all requested focus
+conditions with a single vectorized inverse FFT
+(:meth:`ForwardContext.ensure_fields`), and accumulates multi-corner
+gradients through one batched adjoint pass
 (:meth:`ForwardContext.accumulate_intensity_gradients`).
+:meth:`ForwardContext.intensity_gradient_to_mask` back-projects a single
+corner and is the per-corner reference the batched adjoint is tested
+against.
 """
 
 from __future__ import annotations
@@ -40,21 +42,11 @@ class ForwardContext:
     Args:
         mask: continuous mask M in (0, 1).
         sim: the lithography simulator (provides kernels, resist, corners).
-        batched: use the batched shared-FFT engine; defaults to the
-            simulator's ``batch_forward`` setting.
     """
 
-    def __init__(
-        self,
-        mask: np.ndarray,
-        sim: LithographySimulator,
-        batched: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, mask: np.ndarray, sim: LithographySimulator) -> None:
         self.mask = np.asarray(mask, dtype=np.float64)
         self.sim = sim
-        self.batched = bool(
-            getattr(sim, "batch_forward", True) if batched is None else batched
-        )
         self._cache = ForwardCache(self.mask, obs=sim.obs, xp=sim.xp)
         self._fields: Dict[float, np.ndarray] = {}
         self._intensity: Dict[float, np.ndarray] = {}
@@ -68,7 +60,7 @@ class ForwardContext:
     def cache_info(self) -> ForwardCacheInfo:
         """Mask-spectrum reuse statistics of the batched engine.
 
-        ``mask_ffts`` is exactly 1 after any batched forward work: one
+        ``mask_ffts`` is exactly 1 after any forward work: one
         ``fft2(M)`` per mask per iteration, shared everywhere.
         """
         return self._cache.info()
@@ -76,10 +68,9 @@ class ForwardContext:
     def ensure_fields(self, corners: Iterable[ProcessCorner]) -> None:
         """Prefetch coherent fields for all corners' focus conditions.
 
-        In batched mode every missing focus is evaluated through one
-        vectorized ``ifft2`` call (the ``forward.batched`` span); the
-        legacy mode computes them per focus.  Already-cached focus
-        values cost nothing, so calling this repeatedly is safe.
+        Every missing focus is evaluated through one vectorized
+        ``ifft2`` call (the ``forward.batched`` span).  Already-cached
+        focus values cost nothing, so calling this repeatedly is safe.
         """
         wanted: List[float] = []
         for corner in corners:
@@ -87,12 +78,6 @@ class ForwardContext:
             if key not in self._fields and key not in wanted:
                 wanted.append(key)
         if not wanted:
-            return
-        if not self.batched:
-            for key in wanted:
-                self._fields[key] = self.sim.fields(
-                    self.mask, ProcessCorner("prefetch", key, 1.0)
-                )
             return
         kernel_sets = [self.sim.kernels_at(key) for key in wanted]
         with self.sim.obs.tracer.span("forward.batched"):
@@ -105,10 +90,7 @@ class ForwardContext:
         corner = corner or self.nominal
         key = float(corner.defocus_nm)
         if key not in self._fields:
-            if self.batched:
-                self.ensure_fields([corner])
-            else:
-                self._fields[key] = self.sim.fields(self.mask, corner)
+            self.ensure_fields([corner])
         return self._fields[key]
 
     def _intensity_at_focus(self, corner: ProcessCorner) -> np.ndarray:
@@ -129,19 +111,9 @@ class ForwardContext:
             obs = self.sim.obs
             obs.metrics.counter("forward_evals_total").inc()
             with obs.tracer.span("aerial"):
-                if self.batched:
-                    # Corners sharing a focus share one intensity image;
-                    # dose is a scalar factor (I = dose * sum_k w_k |E_k|^2).
-                    self._aerial[key] = corner.dose * self._intensity_at_focus(corner)
-                else:
-                    kernels = self.sim.kernels_at(corner.defocus_nm)
-                    self._aerial[key] = aerial_image(
-                        self.mask,
-                        kernels,
-                        dose=corner.dose,
-                        fields=self.fields(corner),
-                        xp=self.sim.xp,
-                    )
+                # Corners sharing a focus share one intensity image;
+                # dose is a scalar factor (I = dose * sum_k w_k |E_k|^2).
+                self._aerial[key] = corner.dose * self._intensity_at_focus(corner)
         return self._aerial[key]
 
     def soft_image(self, corner: Optional[ProcessCorner] = None) -> np.ndarray:
@@ -183,11 +155,9 @@ class ForwardContext:
     ) -> np.ndarray:
         """Sum of per-corner intensity-space gradients on the mask plane.
 
-        In batched mode the whole set is dose-combined per focus and
-        back-projected through one batched adjoint
-        (:meth:`LithographySimulator.gradient_all_corners`); the legacy
-        mode back-projects each contribution separately, matching the
-        historical per-corner path bit for bit.
+        The whole set is dose-combined per focus and back-projected
+        through one batched adjoint
+        (:meth:`LithographySimulator.gradient_all_corners`).
         """
         resolved = [
             (corner if corner is not None else self.nominal, df_di)
@@ -195,12 +165,7 @@ class ForwardContext:
         ]
         if not resolved:
             return np.zeros_like(self.mask)
-        if not self.batched:
-            total = np.zeros_like(self.mask)
-            for corner, df_di in resolved:
-                total += self.intensity_gradient_to_mask(df_di, corner)
-            return total
         self.ensure_fields([corner for corner, _ in resolved])
         return self.sim.gradient_all_corners(
-            self.mask, resolved, fields_by_focus=self._fields, batched=True
+            self.mask, resolved, fields_by_focus=self._fields
         )

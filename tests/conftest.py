@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,23 @@ from repro.geometry.layout import Layout
 from repro.geometry.rect import Rect
 from repro.litho.simulator import LithographySimulator
 from repro.xp import ALL_BACKEND_SPECS, backend_available, get_backend
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--shuffle-seed",
+        type=int,
+        default=None,
+        metavar="N",
+        help="run the collected tests in an order shuffled by seed N "
+        "(collection order when absent)",
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    seed = config.getoption("--shuffle-seed")
+    if seed is not None:
+        random.Random(seed).shuffle(items)
 
 
 @pytest.fixture(scope="session")
@@ -83,6 +102,31 @@ def backend_tiny_sim(backend, tiny_sim, tiny_config) -> LithographySimulator:
     simulator = LithographySimulator(tiny_config, backend=backend)
     simulator._kernel_cache = tiny_sim._kernel_cache
     return simulator
+
+
+@pytest.fixture(scope="session")
+def per_corner_context():
+    """The per-corner reference the batched adjoint is held to.
+
+    ``per_corner_context(sim, mask)`` is ``sim.context(mask)`` whose
+    ``accumulate_intensity_gradients`` back-projects every ``(corner,
+    dF/dI_eff)`` pair on its own through
+    ``ForwardContext.intensity_gradient_to_mask`` and sums the results.
+    """
+
+    def make(sim, mask):
+        ctx = sim.context(mask)
+
+        def accumulate(contributions):
+            total = np.zeros_like(ctx.mask)
+            for corner, df_di in contributions:
+                total += ctx.intensity_gradient_to_mask(df_di, corner)
+            return total
+
+        ctx.accumulate_intensity_gradients = accumulate
+        return ctx
+
+    return make
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.fullchip.queue import TileJobQueue, load_queue_state
+from repro.fullchip.queue import (
+    LEASED_DIRNAME,
+    PENDING_DIRNAME,
+    TileJobQueue,
+    load_queue_state,
+)
 from repro.obs.live import StatusWriter, load_status
 from repro.utils.io import write_json_atomic, write_text_atomic
 
@@ -118,6 +123,21 @@ class TestStatusFeedHammer:
 
 
 class TestQueueStateHammer:
+    def test_tile_seen_mid_claim_counts_once(self, tmp_path):
+        """A scan of pending/ and then leased/ can catch a claimed ticket in
+        both directories; the tile still counts once, as leased."""
+        jobs = {f"t{i}_0": ((i, 0), {"tile": i}) for i in range(3)}
+        queue = TileJobQueue.create(tmp_path / "queue", jobs)
+        claim = queue.claim()
+        assert claim is not None
+        name = next((queue.root / LEASED_DIRNAME).glob("*.json")).name
+        (queue.root / PENDING_DIRNAME / name).write_text("{}")
+        counts = queue.counts()
+        assert counts["pending"] + counts["leased"] + counts["done"] + counts[
+            "failed"
+        ] + counts["quarantined"] <= counts["total"]
+        assert (counts["pending"], counts["leased"]) == (2, 1)
+
     def test_load_queue_state_during_transitions(self, tmp_path):
         jobs = {f"t{i}_0": ((i, 0), {"tile": i}) for i in range(6)}
         queue = TileJobQueue.create(tmp_path / "queue", jobs)

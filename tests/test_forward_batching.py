@@ -2,13 +2,17 @@
 
 The batched forward path (one shared ``fft2(M)``, one vectorized
 ``ifft2`` across all (focus x kernel) spectra, one accumulated adjoint
-pass) must be numerically indistinguishable from the historical
-per-corner, per-kernel path — the ISSUE tolerance is 1e-10 max abs diff
-on aerial images, and gradients reassociate only at the 1e-12 level.
+pass) must be numerically indistinguishable from imaging one corner at
+a time — 1e-10 max abs diff on aerial images, and gradients reassociate
+only at the 1e-12 level.
 
-The batched-vs-legacy comparisons are parametrized over every
-registered array backend (``backend`` fixture): the legacy side always
-runs on the numpy float64 reference, so the float64 tolerances above
+The per-corner reference is built from the single-corner primitives:
+``sim.aerial`` / ``sim.print_soft`` / ``sim.print_binary`` per corner
+for images, and ``ForwardContext.intensity_gradient_to_mask`` summed
+over corners for the adjoint (the ``per_corner_context`` fixture).
+The batched-vs-reference comparisons are parametrized over every
+registered array backend (``backend`` fixture): the reference always
+runs on the numpy float64 backend, so the float64 tolerances above
 apply to float64 backends while single-precision backends are held to
 the float32 forward gate instead.
 """
@@ -37,9 +41,10 @@ from repro.optics.hopkins import (
 )
 from repro.optics.kernels import SOCSKernels, common_grid_shape
 from repro.process.corners import ProcessCorner, nominal_corner
+from repro.process.pvband import pv_band, pv_band_area
 from repro.xp import get_backend
 
-AERIAL_TOL = 1e-10  # ISSUE acceptance tolerance on aerial images
+AERIAL_TOL = 1e-10  # max abs diff allowed on aerial images
 GRAD_RTOL = 1e-9  # gradients only reassociate floating-point sums
 
 
@@ -55,14 +60,6 @@ def grad_tols(backend, scale=1.0):
     if backend.precision == "float64":
         return GRAD_RTOL, GRAD_RTOL * scale
     return backend.equivalence_rtol, backend.equivalence_rtol * scale
-
-
-@pytest.fixture(scope="module")
-def legacy_sim(tiny_config):
-    """A tiny simulator pinned to the per-corner legacy path (numpy f64)."""
-    simulator = LithographySimulator(tiny_config, batch_forward=False, backend="numpy")
-    simulator.prewarm()
-    return simulator
 
 
 def random_mask(rng, shape):
@@ -342,19 +339,19 @@ class TestAllocationBudget:
 
 
 class TestSimulatorEquivalence:
-    """simulate_all_corners / gradient_all_corners vs the legacy path.
+    """simulate_all_corners / gradient_all_corners vs the per-corner reference.
 
-    The batched side runs on the parametrized backend; the legacy side
-    stays on the numpy float64 reference, so this doubles as the
-    cross-backend forward-model equivalence battery."""
+    The batched side runs on the parametrized backend; the reference
+    (``tiny_sim``) stays on the numpy float64 backend, so this doubles
+    as the cross-backend forward-model equivalence battery."""
 
-    def test_aerial_images_match_per_corner(self, backend_tiny_sim, legacy_sim,
+    def test_aerial_images_match_per_corner(self, backend_tiny_sim, tiny_sim,
                                             backend, rng):
         mask = random_mask(rng, backend_tiny_sim.grid.shape)
         corners = backend_tiny_sim.corners()
         batched = backend_tiny_sim.simulate_all_corners(mask, corners)
-        legacy = legacy_sim.simulate_all_corners(mask, corners)
-        for b, ref in zip(batched, legacy):
+        per_corner = [tiny_sim.aerial(mask, corner) for corner in corners]
+        for b, ref in zip(batched, per_corner):
             diff = np.max(np.abs(b - ref))
             assert diff <= aerial_atol(backend, np.max(np.abs(ref)))
 
@@ -376,24 +373,27 @@ class TestSimulatorEquivalence:
         diff = np.max(np.abs(image - reference))
         assert diff <= aerial_atol(backend, np.max(np.abs(reference)))
 
-    def test_print_soft_matches(self, backend_tiny_sim, legacy_sim, backend, rng):
+    def test_print_soft_matches(self, backend_tiny_sim, tiny_sim, backend, rng):
         mask = random_mask(rng, backend_tiny_sim.grid.shape)
         # The resist sigmoid amplifies aerial-image error by at most
         # steepness/4; fold that into the float32 floor.
         slope = backend_tiny_sim.config.resist.theta_z / 4.0
         for corner in backend_tiny_sim.corners():
             batched = backend_tiny_sim.context(mask).soft_image(corner)
-            reference = legacy_sim.print_soft(mask, corner)
+            reference = tiny_sim.print_soft(mask, corner)
             tol = aerial_atol(backend, max(1.0, slope))
             assert np.max(np.abs(batched - reference)) <= tol
 
-    def test_pv_band_matches(self, backend_tiny_sim, legacy_sim, backend, rng):
+    def test_pv_band_matches(self, backend_tiny_sim, tiny_sim, backend, rng):
         mask = random_mask(rng, backend_tiny_sim.grid.shape)
         band = backend_tiny_sim.pv_band(mask)
-        reference = legacy_sim.pv_band(mask)
+        printed = [tiny_sim.print_binary(mask, c) for c in tiny_sim.corners()]
+        reference = pv_band(printed)
         if backend.is_reference:
             assert np.array_equal(band, reference)
-            assert backend_tiny_sim.pv_band_area(mask) == legacy_sim.pv_band_area(mask)
+            assert backend_tiny_sim.pv_band_area(mask) == pv_band_area(
+                printed, tiny_sim.grid.pixel_nm
+            )
         else:
             # Binarization can flip pixels whose soft image sits within
             # the backend's noise floor of the threshold; demand the
@@ -401,32 +401,31 @@ class TestSimulatorEquivalence:
             assert np.mean(band != reference) <= 1e-3
 
     def test_gradient_all_corners_matches_per_corner(self, backend_tiny_sim,
-                                                     backend, rng):
-        mask = random_mask(rng, backend_tiny_sim.grid.shape)
-        contributions = [
-            (corner, rng.standard_normal(backend_tiny_sim.grid.shape))
-            for corner in ASYMMETRIC_CORNERS
-        ]
-        batched = backend_tiny_sim.gradient_all_corners(
-            mask, contributions, batched=True
-        )
-        ctx = backend_tiny_sim.context(mask, batched=False)
-        reference = sum(
-            ctx.intensity_gradient_to_mask(df_di, corner)
-            for corner, df_di in contributions
-        )
-        rtol, atol = grad_tols(backend, np.max(np.abs(reference)))
-        assert np.allclose(batched, reference, rtol=rtol, atol=atol)
-
-    def test_gradient_matches_reference_backend(self, backend_tiny_sim, legacy_sim,
-                                                backend, rng):
+                                                     backend, rng,
+                                                     per_corner_context):
         mask = random_mask(rng, backend_tiny_sim.grid.shape)
         contributions = [
             (corner, rng.standard_normal(backend_tiny_sim.grid.shape))
             for corner in ASYMMETRIC_CORNERS
         ]
         batched = backend_tiny_sim.gradient_all_corners(mask, contributions)
-        reference = legacy_sim.gradient_all_corners(mask, contributions)
+        reference = per_corner_context(
+            backend_tiny_sim, mask
+        ).accumulate_intensity_gradients(contributions)
+        rtol, atol = grad_tols(backend, np.max(np.abs(reference)))
+        assert np.allclose(batched, reference, rtol=rtol, atol=atol)
+
+    def test_gradient_matches_reference_backend(self, backend_tiny_sim, tiny_sim,
+                                                backend, rng, per_corner_context):
+        mask = random_mask(rng, backend_tiny_sim.grid.shape)
+        contributions = [
+            (corner, rng.standard_normal(backend_tiny_sim.grid.shape))
+            for corner in ASYMMETRIC_CORNERS
+        ]
+        batched = backend_tiny_sim.gradient_all_corners(mask, contributions)
+        reference = per_corner_context(tiny_sim, mask).accumulate_intensity_gradients(
+            contributions
+        )
         rtol, atol = grad_tols(backend, np.max(np.abs(reference)))
         assert np.allclose(batched, reference, rtol=rtol, atol=atol)
 
@@ -438,7 +437,8 @@ class TestSimulatorEquivalence:
 
 
 class TestContextEquivalence:
-    """ForwardContext batched vs legacy mode over whole objectives."""
+    """ForwardContext's batched adjoint vs the per-corner reference over
+    whole objectives."""
 
     def _target(self, tiny_sim):
         target = np.zeros(tiny_sim.grid.shape)
@@ -453,29 +453,31 @@ class TestContextEquivalence:
             ]
         )
 
-    def test_composite_value_and_gradient_match(self, tiny_sim, rng):
+    def test_composite_value_and_gradient_match(self, tiny_sim, rng,
+                                                per_corner_context):
         target = self._target(tiny_sim)
         mask = np.clip(target + 0.1 * rng.standard_normal(target.shape), 0.05, 0.95)
         v_batched, g_batched = self._composite(target).value_and_gradient(
-            tiny_sim.context(mask, batched=True)
+            tiny_sim.context(mask)
         )
-        v_legacy, g_legacy = self._composite(target).value_and_gradient(
-            tiny_sim.context(mask, batched=False)
+        v_ref, g_ref = self._composite(target).value_and_gradient(
+            per_corner_context(tiny_sim, mask)
         )
-        assert v_batched == pytest.approx(v_legacy, rel=1e-12)
-        scale = np.max(np.abs(g_legacy))
-        assert np.allclose(g_batched, g_legacy, rtol=GRAD_RTOL, atol=GRAD_RTOL * scale)
+        assert v_batched == pytest.approx(v_ref, rel=1e-12)
+        scale = np.max(np.abs(g_ref))
+        assert np.allclose(g_batched, g_ref, rtol=GRAD_RTOL, atol=GRAD_RTOL * scale)
 
-    def test_accumulate_matches_sequential_backprojection(self, tiny_sim, rng):
+    def test_accumulate_matches_sequential_backprojection(self, tiny_sim, rng,
+                                                          per_corner_context):
         mask = random_mask(rng, tiny_sim.grid.shape)
         contributions = [
             (corner, rng.standard_normal(tiny_sim.grid.shape))
             for corner in tiny_sim.corners()
         ]
-        ctx = tiny_sim.context(mask, batched=True)
-        legacy_ctx = tiny_sim.context(mask, batched=False)
-        batched = ctx.accumulate_intensity_gradients(contributions)
-        reference = legacy_ctx.accumulate_intensity_gradients(contributions)
+        batched = tiny_sim.context(mask).accumulate_intensity_gradients(contributions)
+        reference = per_corner_context(tiny_sim, mask).accumulate_intensity_gradients(
+            contributions
+        )
         scale = np.max(np.abs(reference))
         assert np.allclose(batched, reference, rtol=GRAD_RTOL, atol=GRAD_RTOL * scale)
 

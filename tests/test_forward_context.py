@@ -27,21 +27,6 @@ class TestCaching:
         # The batched engine computed fft2(M) exactly once for both foci.
         assert ctx.cache_info().mask_ffts == 1
 
-    def test_legacy_mode_computes_fields_per_focus(self, tiny_sim, mask, monkeypatch):
-        calls = []
-        original = tiny_sim.fields
-
-        def counting_fields(m, corner=None):
-            calls.append(corner.defocus_nm if corner else 0.0)
-            return original(m, corner)
-
-        monkeypatch.setattr(tiny_sim, "fields", counting_fields)
-        ctx = ForwardContext(mask, tiny_sim, batched=False)
-        ctx.fields(ProcessCorner("a", 25.0, 0.98))
-        ctx.fields(ProcessCorner("b", 25.0, 1.02))
-        ctx.fields(nominal_corner())
-        assert sorted(calls) == [0.0, 25.0]
-
     def test_aerial_cached_per_dose(self, tiny_sim, mask):
         ctx = ForwardContext(mask, tiny_sim)
         a = ctx.aerial(ProcessCorner("a", 0.0, 0.98))

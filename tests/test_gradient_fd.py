@@ -6,8 +6,10 @@ dF/dM is compared against the central difference
     (F(M + eps e_i) - F(M - eps e_i)) / (2 eps)
 
 at the ~20 pixels where the gradient is largest, on a structured random
-mask at ``LithoConfig.reduced()`` scale, for both the batched and the
-legacy forward engines.  The central scheme's truncation error is
+mask at ``LithoConfig.reduced()`` scale, for two adjoints: the batched
+one the solvers run (``batched``) and the per-corner reference the
+equivalence battery holds it to (``per_corner``: one back-projection
+per contribution, summed).  The central scheme's truncation error is
 O(eps^2), so with eps = 1e-6 the agreement floor sits far below the
 1e-4 relative tolerance asserted here.
 
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.geometry.raster import rasterize_layout
+from repro.litho.simulator import LithographySimulator
 from repro.opc.objectives import (
     EPEObjective,
     ImageDifferenceObjective,
@@ -70,8 +73,8 @@ def objective_for(name, sim, layout, target):
     raise ValueError(name)
 
 
-def check_gradient(sim, objective, mask, batched):
-    _, grad = objective.value_and_gradient(sim.context(mask, batched=batched))
+def check_gradient(sim, objective, mask, context):
+    _, grad = objective.value_and_gradient(context(sim, mask))
 
     # Probe where the gradient is largest: relative error is meaningful
     # there, and any systematic adjoint bug must show up at the peaks.
@@ -85,8 +88,8 @@ def check_gradient(sim, objective, mask, batched):
         minus = mask.copy()
         minus[row, col] -= EPS
         fd = (
-            objective.value(sim.context(plus, batched=batched))
-            - objective.value(sim.context(minus, batched=batched))
+            objective.value(context(sim, plus))
+            - objective.value(context(sim, minus))
         ) / (2.0 * EPS)
         rel = abs(fd - grad[row, col]) / max(abs(fd), abs(grad[row, col]))
         worst = max(worst, rel)
@@ -94,32 +97,32 @@ def check_gradient(sim, objective, mask, batched):
 
 
 def check_gradient_vs_reference(backend_sim, ref_sim, objective_name,
-                                layout, target, mask, batched):
+                                layout, target, mask, context):
     """Float32 path: analytic gradient vs the float64 reference gradient."""
     objective = objective_for(objective_name, backend_sim, layout, target)
-    _, grad = objective.value_and_gradient(
-        backend_sim.context(mask, batched=batched)
-    )
+    _, grad = objective.value_and_gradient(context(backend_sim, mask))
     reference_objective = objective_for(objective_name, ref_sim, layout, target)
-    _, reference = reference_objective.value_and_gradient(
-        ref_sim.context(mask, batched=batched)
-    )
+    _, reference = reference_objective.value_and_gradient(context(ref_sim, mask))
     scale = np.max(np.abs(reference))
     assert np.allclose(
         grad, reference, rtol=FLOAT32_GRAD_RTOL, atol=FLOAT32_GRAD_RTOL * scale
     ), f"float32 gradient deviates from float64 reference for {objective_name}"
 
 
-@pytest.mark.parametrize("batched", [True, False], ids=["batched", "legacy"])
+@pytest.mark.parametrize("adjoint", ["batched", "per_corner"])
 @pytest.mark.parametrize("name", ["epe", "image_diff", "pvband"])
 def test_analytic_gradient_matches_finite_differences(
-    sim, backend_sim, backend, fd_setup, name, batched
+    sim, backend_sim, backend, fd_setup, name, adjoint, per_corner_context
 ):
     layout, target, mask = fd_setup
+    context = {
+        "batched": LithographySimulator.context,
+        "per_corner": per_corner_context,
+    }[adjoint]
     if backend.precision == "float64":
         objective = objective_for(name, backend_sim, layout, target)
-        check_gradient(backend_sim, objective, mask, batched)
+        check_gradient(backend_sim, objective, mask, context)
     else:
         check_gradient_vs_reference(
-            backend_sim, sim, name, layout, target, mask, batched
+            backend_sim, sim, name, layout, target, mask, context
         )

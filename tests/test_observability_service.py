@@ -315,11 +315,24 @@ def http_env(tmp_path_factory):
     thread.join(timeout=5)
 
 
+@pytest.fixture(scope="module")
+def served_job(http_env):
+    """One job submitted over HTTP, so that the request and job metrics
+    exist in whatever order the tests run (a repeat payload is a cache
+    hit, which means an earlier test already solved it)."""
+    client = ServiceClient(http_env["url"])
+    job = client.submit(dict(SERIAL_PAYLOAD))
+    assert client.wait(job["id"], timeout_s=60)["state"] == "DONE"
+    return job
+
+
 class TestHttpObservability:
     def test_submit_echoes_and_persists_the_trace_id(self, http_env):
+        # A layout no other test submits: a cache hit would write no run dir.
+        payload = dict(SERIAL_PAYLOAD, layout="synth:1024x1024:2")
         request = urllib.request.Request(
             http_env["url"] + "/v1/jobs",
-            data=json.dumps(SERIAL_PAYLOAD).encode(),
+            data=json.dumps(payload).encode(),
             method="POST",
             headers={"Content-Type": "application/json",
                      TRACE_HEADER: "feedfacecafe"},
@@ -391,7 +404,7 @@ class TestHttpObservability:
         assert row["trace_id"] and row["duration_s"] >= 0
         assert row["response_bytes"] > 0
 
-    def test_metricsz_prometheus_exposition(self, http_env):
+    def test_metricsz_prometheus_exposition(self, http_env, served_job):
         with urllib.request.urlopen(
             http_env["url"] + "/metricsz?format=prometheus", timeout=30
         ) as response:
@@ -412,7 +425,7 @@ class TestHttpObservability:
             )
         assert exc.value.code == 400
 
-    def test_slo_histograms_recorded(self, http_env):
+    def test_slo_histograms_recorded(self, http_env, served_job):
         snapshot = http_env["service"].metrics_snapshot()
         wait_key = encode_labels(
             "service_queue_wait_seconds", {"tenant": "default"}
